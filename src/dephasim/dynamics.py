@@ -94,6 +94,9 @@ class CouplingConfig:
     N: int = 2
 
     def __post_init__(self):
+        for name in ("kappa_c", "kappa_l", "eta"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError("%s must be finite, got %r" % (name, getattr(self, name)))
         if self.kappa_c < 0 or self.kappa_l < 0:
             raise ValidationError("coupling strengths must be >= 0")
         if self.eta < 0:
@@ -140,7 +143,7 @@ class EnsembleConfig:
     @property
     def homogeneous_background(self):
         ps = np.atleast_1d(np.asarray(self.background_p, dtype=float))
-        return ps.size == 1 or np.all(ps == ps[0])
+        return ps.size <= 1 or bool(np.all(ps == ps[0]))
 
 
 def initial_two_qubit(s1, s2):
@@ -186,8 +189,11 @@ def background_factor(t, cfg, ens, bath=None, doubled=False):
     return out.reshape(t_arr.shape) if t_arr.ndim else complex(out[0])
 
 
-def _factor_matrix(t, S, Gamma_l, Gamma_c, cfg, ens, frame):
-    """Elementwise evolution factors as a (T, 4, 4) array of ones plus phases."""
+def _factor_matrix(t, S, Gamma_l, Gamma_c, cfg, ens, frame, P=None):
+    """Elementwise evolution factors as a (T, 4, 4) array of ones plus phases.
+
+    P is P_N on the same times, when the caller already has it.
+    """
     if frame not in ("interaction", "lab"):
         raise ValidationError("frame must be 'interaction' or 'lab', got %r" % (frame,))
     t = np.atleast_1d(np.asarray(t, dtype=float))
@@ -197,7 +203,8 @@ def _factor_matrix(t, S, Gamma_l, Gamma_c, cfg, ens, frame):
     phase = np.exp(1j * ke2 * S)
     d_loc = np.exp(-kl2 * np.atleast_1d(Gamma_l))
     d_col = np.exp(-ke2 * np.atleast_1d(Gamma_c))
-    P = _background_from_S(S, cfg, ens, doubled=False)
+    if P is None:
+        P = _background_from_S(S, cfg, ens, doubled=False)
     Pt = _background_from_S(S, cfg, ens, doubled=True)
 
     F = np.ones(S.shape + (4, 4), dtype=complex)
@@ -220,15 +227,17 @@ def _factor_matrix(t, S, Gamma_l, Gamma_c, cfg, ens, frame):
     return F
 
 
-def evolve_series(rho0, grid, cfg, ens, frame="interaction", gamma_l=None):
+def evolve_series(rho0, grid, cfg, ens, frame="interaction", gamma_l=None, p_n=None):
     """Evolve rho0 along a DephasingGrid, returning a (T, 4, 4) stack.
 
     grid.Gamma is used for the collective reservoir; gamma_l supplies the
     local reservoir decay on the same times and defaults to the same
-    array (identical form factor and cutoff for both reservoirs).
+    array (identical form factor and cutoff for both reservoirs).  p_n is
+    the background factor P_N on grid.t, for a caller that already
+    computed it; by default it is computed here.
     """
     Gl = grid.Gamma if gamma_l is None else np.asarray(gamma_l, dtype=float)
-    F = _factor_matrix(grid.t, grid.S, Gl, grid.Gamma, cfg, ens, frame)
+    F = _factor_matrix(grid.t, grid.S, Gl, grid.Gamma, cfg, ens, frame, P=p_n)
     out = rho0[None, :, :] * F
     if not np.all(np.isfinite(out)):
         raise NumericalError("evolution produced non-finite matrix entries")

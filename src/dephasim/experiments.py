@@ -196,9 +196,10 @@ def time_series(cfg, ens, bath=None, t_max=None, steps=None, tau_max=None, frame
         t = _resolve_grid(cfg, bath, t_max, steps, tau_max, meta)
         grid = dephasing_grid(t, bath)
     rho0 = initial_two_qubit(ens.spin1, ens.spin2)
-    rhos = evolve_series(rho0, grid, cfg, ens, frame=frame)
+    P = _background_from_S(grid.S, cfg, ens)
+    rhos = evolve_series(rho0, grid, cfg, ens, frame=frame, p_n=P)
     C = concurrence_series(rhos)
-    absP = np.abs(_background_from_S(grid.S, cfg, ens))
+    absP = np.abs(P)
     tau = cfg.effective_kappa_c**2 * bath.nu_c * grid.t
     meta["steps"] = int(grid.t.size)
     meta["t_max"] = float(grid.t[-1]) if grid.t.size else 0.0

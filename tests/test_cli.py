@@ -83,6 +83,13 @@ class TestExitCodes:
         assert code == 2
         assert "|v|" in err or "coherence" in err
 
+    @pytest.mark.parametrize("flag", ["--kappa-c", "--kappa-l", "--eta"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_coupling_is_validation(self, capsys, flag, value):
+        code, _, err = _run(capsys, ["timeseries", "--n", "4", "--steps", "4", flag, value])
+        assert code == 2
+        assert "finite" in err
+
     def test_unknown_flag(self, capsys):
         code, _, err = _run(capsys, ["timeseries", "--bogus", "1"])
         assert code == 2

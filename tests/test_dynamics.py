@@ -163,6 +163,13 @@ class TestBackground:
         t = np.linspace(0.0, 10.0, 7)
         np.testing.assert_array_equal(background_factor(t, cfg, ens), np.ones(7))
 
+    def test_empty_background_at_two_spins(self):
+        cfg = CouplingConfig(kappa_c=0.3, N=2)
+        ens = EnsembleConfig(spin1=SpinInit(p=0.5), spin2=SpinInit(p=0.5), background_p=[])
+        assert ens.homogeneous_background is True
+        t = np.linspace(0.0, 10.0, 7)
+        np.testing.assert_array_equal(background_factor(t, cfg, ens), np.ones(7))
+
     def test_zero_coupling_is_one(self):
         cfg = CouplingConfig(kappa_c=0.0, N=50)
         ens = EnsembleConfig(spin1=SpinInit(p=0.5), spin2=SpinInit(p=0.5))
@@ -463,6 +470,12 @@ class TestCouplingConfig:
         {"kappa_c": 0.1, "N": 1},
         {"kappa_c": 0.1, "N": 2.5},
         {"kappa_c": 0.1, "eta": -0.2},
+        {"kappa_c": float("nan")},
+        {"kappa_c": float("inf")},
+        {"kappa_c": 0.1, "kappa_l": float("nan")},
+        {"kappa_c": 0.1, "kappa_l": float("inf")},
+        {"kappa_c": 0.1, "eta": float("nan")},
+        {"kappa_c": 0.1, "eta": float("inf")},
     ])
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ValidationError):

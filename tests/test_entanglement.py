@@ -2,6 +2,7 @@
 
 import math
 
+from hypothesis import assume, given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -19,8 +20,10 @@ from dephasim import (
     limit_state_small_eta,
     ppt_negative,
     spin_flip,
+    t_of_tau,
     x_state_concurrence,
 )
+from dephasim.entanglement import _lambdas_stack
 
 _SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _YY = np.kron(_SY, _SY)
@@ -45,6 +48,42 @@ def _random_unitary(rng):
     a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     q, r = np.linalg.qr(a)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _pt_det(rhos):
+    # det of the transpose over the second qubit, for a (n, 4, 4) stack
+    pt = rhos.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 4, 3, 2).reshape(-1, 4, 4)
+    return np.linalg.det(pt).real
+
+
+def _witness_states():
+    # 10 000 evolved states: N in {2, 4, 8, 16, 32}, kappa in {0.04, 0.2}
+    bath = BathConfig()
+    spin = SpinInit(p=0.5, v=0.48)
+    ens = EnsembleConfig(spin1=spin, spin2=spin)
+    rho0 = initial_two_qubit(spin, spin)
+    stacks = []
+    for N in (2, 4, 8, 16, 32):
+        for kappa in (0.04, 0.2):
+            cfg = CouplingConfig(kappa_c=kappa, N=N)
+            t_max = 2.0 * math.pi / (kappa**2 * bath.nu_c)
+            grid = dephasing_grid(np.linspace(0.0, t_max, 1000), bath)
+            stacks.append(evolve_series(rho0, grid, cfg, ens))
+    return np.concatenate(stacks)
+
+
+def _corner_slice():
+    # the N = 40 corner grid (kappa_c = 0.05, v_i = p_i) at p1 = 0.5, all p2:
+    # spin 1 is pure, and only the cell p2 = 0.5 is ever entangled
+    cfg = CouplingConfig(kappa_c=0.05, N=40)
+    grid = dephasing_grid(t_of_tau(np.linspace(0.0, 2.0 * math.pi, 4000), cfg), BathConfig())
+    s1 = SpinInit(p=0.5, v=0.5)
+    stacks = []
+    for p2 in np.round(np.linspace(0.0, 0.5, 11), 12):
+        s2 = SpinInit(p=p2, v=p2)
+        ens = EnsembleConfig(spin1=s1, spin2=s2)
+        stacks.append(evolve_series(initial_two_qubit(s1, s2), grid, cfg, ens))
+    return np.concatenate(stacks)
 
 
 def _bell():
@@ -114,10 +153,72 @@ class TestConcurrence:
             concurrence(bad)
         concurrence(bad / 4.0 + 0.0, validate=False)
 
+    @pytest.mark.parametrize("pure", [SpinInit(p=0.0), SpinInit(p=0.5, v=0.5)])
+    @pytest.mark.parametrize("other", [
+        SpinInit(p=0.3, v=0.2),
+        SpinInit(p=0.45, v=0.45),
+        SpinInit(p=0.2, v=0.3j),
+    ])
+    def test_pure_spin_product_is_exactly_zero(self, pure, other):
+        for rho in (initial_two_qubit(pure, other), initial_two_qubit(other, pure)):
+            assert concurrence(rho).value == 0.0
+            assert np.all(concurrence_series(np.stack([rho, rho, rho])) == 0.0)
+
     def test_spin_flip_involution(self):
         rng = np.random.default_rng(21)
         rho = _random_density(rng)
         np.testing.assert_allclose(spin_flip(spin_flip(rho)), rho, atol=1e-14)
+
+
+class TestScreen:
+    """The det(rho^{T_B}) screen against the Wootters kernel on every state."""
+
+    @pytest.mark.parametrize("states", [_witness_states, _corner_slice])
+    def test_matches_unscreened_kernel(self, states):
+        rhos = states()
+        lam = _lambdas_stack(rhos)
+        want = np.clip(lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3], 0.0, 1.0)
+        got = concurrence_series(rhos)
+        kept = _pt_det(rhos) < 0.0
+        assert kept.any() and not kept.all()
+        np.testing.assert_array_equal(got[kept], want[kept])
+        assert np.all(got[~kept] == 0.0)
+        assert want[~kept].max() <= 2e-8
+
+
+_ENTRY = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False, allow_subnormal=False)
+
+
+@st.composite
+def _density_matrices(draw):
+    rank = draw(st.integers(min_value=1, max_value=4))
+    parts = draw(st.lists(_ENTRY, min_size=8 * rank, max_size=8 * rank))
+    a = np.array(parts[: 4 * rank]).reshape(4, rank) + 1j * np.array(parts[4 * rank :]).reshape(4, rank)
+    rho = a @ a.conj().T
+    rho = 0.5 * (rho + rho.conj().T)
+    trace = np.trace(rho).real
+    assume(trace > 1e-3)
+    return rho / trace
+
+
+class TestProperties:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_density_matrices())
+    def test_range(self, rho):
+        assert 0.0 <= concurrence(rho).value <= 1.0
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.lists(_density_matrices(), min_size=1, max_size=8))
+    def test_series_matches_single(self, rhos):
+        series = concurrence_series(np.stack(rhos))
+        singles = [concurrence(r).value for r in rhos]
+        np.testing.assert_array_equal(series, singles)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_density_matrices())
+    def test_entangled_implies_npt(self, rho):
+        if concurrence(rho).value > 1e-9:
+            assert ppt_negative(rho)
 
 
 class TestXState:
@@ -178,22 +279,13 @@ class TestPPT:
 
     def test_sign_agreement_on_evolved_states(self):
         # Wootters and the transpose witness must agree away from the boundary
-        bath = BathConfig()
-        spin = SpinInit(p=0.5, v=0.48)
-        ens = EnsembleConfig(spin1=spin, spin2=spin)
-        rho0 = initial_two_qubit(spin, spin)
+        rhos = _witness_states()
+        c = concurrence_series(rhos)
         total = 0
-        for N in (2, 4, 8, 16, 32):
-            for kappa in (0.04, 0.2):
-                cfg = CouplingConfig(kappa_c=kappa, N=N)
-                t_max = 2.0 * math.pi / (kappa**2 * bath.nu_c)
-                grid = dephasing_grid(np.linspace(0.0, t_max, 1000), bath)
-                rhos = evolve_series(rho0, grid, cfg, ens)
-                c = concurrence_series(rhos)
-                for rho, ci in zip(rhos, c):
-                    total += 1
-                    if ci > 1e-9:
-                        assert ppt_negative(rho)
-                    elif ci == 0.0:
-                        assert not ppt_negative(rho)
+        for rho, ci in zip(rhos, c):
+            total += 1
+            if ci > 1e-9:
+                assert ppt_negative(rho)
+            elif ci == 0.0:
+                assert not ppt_negative(rho)
         assert total == 10000
