@@ -308,8 +308,9 @@ def _run_timeseries(vals):
 
 
 def _run_sweep_kappa(vals):
-    cfg = CouplingConfig(kappa_c=vals["kappa_values"][0], kappa_l=vals["kappa_l"],
-                         eta=vals["eta"], N=vals["n"])
+    cfg = CouplingConfig(
+        kappa_c=vals["kappa_c"], kappa_l=vals["kappa_l"], eta=vals["eta"], N=vals["n"]
+    )
     res = sweep_kappa(
         vals["kappa_values"], cfg, _ensemble(vals), _bath(vals),
         tau_max=vals["tau_max"], steps=vals["steps"], frame=vals["frame"],

@@ -30,7 +30,7 @@ For N -> infinity at fixed t the matrix tends to an X form when
 single spin factors when eta > 1/4, both of which are separable.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import math
 import numbers
 
@@ -152,32 +152,23 @@ def initial_two_qubit(s1, s2):
 
 
 def _background_from_S(S, cfg, ens, doubled=False):
-    """P_N (or tilde_P_N) evaluated from precomputed phases S."""
+    """P_N (or tilde_P_N) evaluated from precomputed phases S.
+
+    Each distinct background population p, held by n spins, contributes
+    z_p^n through n*log|z_p| and n*arg z_p; exact zeros of |z_p| map to
+    P = 0.  With no background spins (N = 2) the sum is empty and P = 1.
+    """
     S = np.asarray(S, dtype=float)
-    if cfg.N == 2:
-        return np.ones(S.shape, dtype=complex)
     scale = 2.0 if doubled else 1.0
     a = scale * cfg.effective_kappa_c**2 * S
-    ps = ens.background_array(cfg.N)
-    cos_a, sin_a = np.cos(a), np.sin(a)
-    if ens.homogeneous_background:
-        p = float(ps[0])
-        n = cfg.N - 2
-        # z^n via n*log|z| and n*arg z; exact zeros of |z| map to P = 0
-        mod2 = p * p + 2.0 * p * (1.0 - p) * np.cos(2.0 * a) + (1.0 - p) ** 2
-        with np.errstate(divide="ignore"):
-            log_mod = 0.5 * np.log(mod2)
-        arg = np.arctan2((2.0 * p - 1.0) * sin_a, cos_a)
-        return np.exp(n * log_mod) * np.exp(1j * n * arg)
+    cos_a, sin_a, cos_2a = np.cos(a), np.sin(a), np.cos(2.0 * a)
     log_mod = np.zeros(S.shape)
     arg = np.zeros(S.shape)
-    chunk = max(1, int(4e6 / max(S.size, 1)))
-    for start in range(0, ps.size, chunk):
-        pj = ps[start : start + chunk, None]
-        mod2 = pj**2 + 2.0 * pj * (1.0 - pj) * np.cos(2.0 * a)[None, :] + (1.0 - pj) ** 2
+    for p, n in zip(*np.unique(ens.background_array(cfg.N), return_counts=True)):
+        mod2 = p * p + 2.0 * p * (1.0 - p) * cos_2a + (1.0 - p) ** 2
         with np.errstate(divide="ignore"):
-            log_mod += 0.5 * np.log(mod2).sum(axis=0)
-        arg += np.arctan2((2.0 * pj - 1.0) * sin_a[None, :], cos_a[None, :]).sum(axis=0)
+            log_mod += n * (0.5 * np.log(mod2))
+        arg += n * np.arctan2((2.0 * p - 1.0) * sin_a, cos_a)
     return np.exp(log_mod) * np.exp(1j * arg)
 
 
@@ -189,55 +180,62 @@ def background_factor(t, cfg, ens, bath=None, doubled=False):
     return out.reshape(t_arr.shape) if t_arr.ndim else complex(out[0])
 
 
-def _factor_matrix(t, S, Gamma_l, Gamma_c, cfg, ens, frame, P=None):
-    """Elementwise evolution factors as a (T, 4, 4) array of ones plus phases.
+_IU = np.triu_indices(4, k=1)
 
-    P is P_N on the same times, when the caller already has it.
+
+def _factor_matrix(k2S, kl2Gl, k2Gc, P=1.0, Pt=1.0):
+    """Elementwise evolution factors, shape (..., 4, 4), from the exponents.
+
+    k2S stands for kappa^2 S, kl2Gl for kappa_l^2 Gamma_l and k2Gc for
+    kappa^2 Gamma_c, scalars or arrays on common points; P and Pt are
+    P_N and tilde_P_N on the same points.
+    """
+    phase = np.exp(1j * k2S)
+    d_loc = np.exp(-kl2Gl)
+    d_col = np.exp(-k2Gc)
+    F = np.ones(np.broadcast(phase, d_loc, d_col).shape + (4, 4), dtype=complex)
+    F[..., 0, 1] = F[..., 0, 2] = phase * d_loc * d_col * P
+    F[..., 0, 3] = d_loc**2 * d_col**4 * Pt
+    F[..., 1, 2] = d_loc**2
+    F[..., 1, 3] = F[..., 2, 3] = np.conj(phase) * d_loc * d_col * P
+    F[..., _IU[1], _IU[0]] = np.conj(F[..., _IU[0], _IU[1]])
+    return F
+
+
+def _evolution_factors(t, S, Gamma, cfg, ens, frame, P=None):
+    """Factor stack on times t from the bath integrals S and Gamma.
+
+    Gamma serves both reservoirs, which share form factor and cutoff.  P
+    is P_N on the same times, when the caller already has it.  The lab
+    frame adds the free phases e^{i w t} of each coherence.
     """
     if frame not in ("interaction", "lab"):
         raise ValidationError("frame must be 'interaction' or 'lab', got %r" % (frame,))
     t = np.atleast_1d(np.asarray(t, dtype=float))
     S = np.atleast_1d(np.asarray(S, dtype=float))
+    Gamma = np.atleast_1d(Gamma)
     ke2 = cfg.effective_kappa_c**2
-    kl2 = cfg.kappa_l**2
-    phase = np.exp(1j * ke2 * S)
-    d_loc = np.exp(-kl2 * np.atleast_1d(Gamma_l))
-    d_col = np.exp(-ke2 * np.atleast_1d(Gamma_c))
     if P is None:
-        P = _background_from_S(S, cfg, ens, doubled=False)
+        P = _background_from_S(S, cfg, ens)
     Pt = _background_from_S(S, cfg, ens, doubled=True)
-
-    F = np.ones(S.shape + (4, 4), dtype=complex)
-    F[..., 0, 1] = phase * d_loc * d_col * P
-    F[..., 0, 2] = phase * d_loc * d_col * P
-    F[..., 0, 3] = d_loc**2 * d_col**4 * Pt
-    F[..., 1, 2] = d_loc**2
-    F[..., 1, 3] = np.conj(phase) * d_loc * d_col * P
-    F[..., 2, 3] = np.conj(phase) * d_loc * d_col * P
+    F = _factor_matrix(ke2 * S, cfg.kappa_l**2 * Gamma, ke2 * Gamma, P, Pt)
     if frame == "lab":
         w1, w2 = ens.omega1, ens.omega2
-        F[..., 0, 1] *= np.exp(1j * w2 * t)
-        F[..., 0, 2] *= np.exp(1j * w1 * t)
-        F[..., 0, 3] *= np.exp(1j * (w1 + w2) * t)
-        F[..., 1, 2] *= np.exp(1j * (w1 - w2) * t)
-        F[..., 1, 3] *= np.exp(1j * w1 * t)
-        F[..., 2, 3] *= np.exp(1j * w2 * t)
-    iu = np.triu_indices(4, k=1)
-    F[..., iu[1], iu[0]] = np.conj(F[..., iu[0], iu[1]])
+        for i, j, w in zip(*_IU, (w2, w1, w1 + w2, w1 - w2, w1, w2)):
+            F[..., i, j] *= np.exp(1j * w * t)
+            F[..., j, i] = np.conj(F[..., i, j])
     return F
 
 
-def evolve_series(rho0, grid, cfg, ens, frame="interaction", gamma_l=None, p_n=None):
+def evolve_series(rho0, grid, cfg, ens, frame="interaction", p_n=None):
     """Evolve rho0 along a DephasingGrid, returning a (T, 4, 4) stack.
 
-    grid.Gamma is used for the collective reservoir; gamma_l supplies the
-    local reservoir decay on the same times and defaults to the same
-    array (identical form factor and cutoff for both reservoirs).  p_n is
-    the background factor P_N on grid.t, for a caller that already
-    computed it; by default it is computed here.
+    grid.Gamma serves both the collective and the local reservoir
+    (identical form factor and cutoff).  p_n is the background factor
+    P_N on grid.t, for a caller that already computed it; by default it
+    is computed here.
     """
-    Gl = grid.Gamma if gamma_l is None else np.asarray(gamma_l, dtype=float)
-    F = _factor_matrix(grid.t, grid.S, Gl, grid.Gamma, cfg, ens, frame, P=p_n)
+    F = _evolution_factors(grid.t, grid.S, grid.Gamma, cfg, ens, frame, P=p_n)
     out = rho0[None, :, :] * F
     if not np.all(np.isfinite(out)):
         raise NumericalError("evolution produced non-finite matrix entries")
@@ -249,9 +247,7 @@ def evolve(rho0, t, cfg, ens, bath=None, frame="interaction"):
     bath = bath if bath is not None else BathConfig()
     if t < 0:
         raise ValidationError("evolve requires t >= 0")
-    S = phase_S(t, bath)
-    G = decay_Gamma(t, bath)
-    F = _factor_matrix(t, S, G, G, cfg, ens, frame)
+    F = _evolution_factors(t, phase_S(t, bath), decay_Gamma(t, bath), cfg, ens, frame)
     return rho0 * F[0]
 
 
@@ -282,16 +278,20 @@ def limit_state_large_eta(t, s1, s2, cfg, ens, bath=None):
     v_j D_l(t) P_inf(t) with D_l = e^{-kappa_l^2 Gamma_l} and
     P_inf = e^{-i kappa_c^2 S (1 - 2p) N^{1 - 2 eta}}; the doubled factor
     obeys tilde_P_inf = P_inf^2, which the product form realizes
-    automatically.  For background p = 1/2 the phase P_inf is absent.
+    automatically.  For background p = 1/2 the phase P_inf is absent, and
+    with no background spins (N = 2) P_inf = 1, as is P_N.
     """
     bath = bath if bath is not None else BathConfig()
     if not ens.homogeneous_background:
         raise ValidationError("the large-eta limit requires a homogeneous background")
-    p = float(np.atleast_1d(np.asarray(ens.background_p, dtype=float))[0])
+    ps = ens.background_array(cfg.N)
     D = math.exp(-cfg.kappa_l**2 * decay_Gamma(t, bath))
-    P_inf = np.exp(
-        -1j * cfg.kappa_c**2 * phase_S(t, bath) * (1.0 - 2.0 * p) * cfg.N ** (1.0 - 2.0 * cfg.eta)
-    )
+    P_inf = 1.0
+    if ps.size:
+        P_inf = np.exp(
+            -1j * cfg.kappa_c**2 * phase_S(t, bath) * (1.0 - 2.0 * float(ps[0]))
+            * cfg.N ** (1.0 - 2.0 * cfg.eta)
+        )
     factors = []
     for s in (s1, s2):
         off = s.v * D * P_inf

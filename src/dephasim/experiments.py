@@ -16,7 +16,7 @@ import os
 
 import numpy as np
 
-from .bath import BathConfig, DephasingGrid, dephasing_grid
+from .bath import BathConfig, dephasing_grid
 from .dynamics import (
     CouplingConfig,
     EnsembleConfig,
@@ -26,7 +26,10 @@ from .dynamics import (
     initial_two_qubit,
     limit_state_large_eta,
     limit_state_small_eta,
+    tau_of_t,
     _background_from_S,
+    _evolution_factors,
+    _factor_matrix,
 )
 from .entanglement import concurrence, concurrence_series
 from .errors import FitError, ValidationError
@@ -200,7 +203,7 @@ def time_series(cfg, ens, bath=None, t_max=None, steps=None, tau_max=None, frame
     rhos = evolve_series(rho0, grid, cfg, ens, frame=frame, p_n=P)
     C = concurrence_series(rhos)
     absP = np.abs(P)
-    tau = cfg.effective_kappa_c**2 * bath.nu_c * grid.t
+    tau = tau_of_t(grid.t, cfg, bath)
     meta["steps"] = int(grid.t.size)
     meta["t_max"] = float(grid.t[-1]) if grid.t.size else 0.0
     return TimeSeries(
@@ -250,10 +253,24 @@ def collapse_time(series, floor=COLLAPSE_FLOOR, persistence=COLLAPSE_PERSISTENCE
     return CollapseResult(tau_c=math.nan, status="no-collapse")
 
 
-def _series_stats(series):
-    peak = peak_concurrence(series)
-    col = collapse_time(series)
-    return peak, col.tau_c, col.status
+def _sweep(points, key_columns, meta, ens, bath, tau_max, steps, frame, grid=None):
+    """Peak and collapse statistics for each (key tuple, CouplingConfig) point.
+
+    Each point resolves its own time grid unless a shared DephasingGrid
+    is given.  Rows are the key followed by the statistics, in input order.
+    """
+    if not points:
+        raise ValidationError("%s has no points to sweep" % meta["experiment"])
+
+    def run(point):
+        key, c = point
+        series = time_series(c, ens, bath, tau_max=tau_max, steps=steps, frame=frame, grid=grid)
+        peak = peak_concurrence(series)
+        col = collapse_time(series)
+        return key + (peak.c_max, peak.tau_peak, col.tau_c, col.status)
+
+    columns = key_columns + ("c_max", "tau_peak", "tau_c", "status")
+    return SweepResult(columns=columns, rows=_pmap(run, points), meta=meta)
 
 
 def sweep_N(n_values, cfg, ens, bath=None, tau_max=None, steps=None, frame="interaction"):
@@ -277,22 +294,11 @@ def sweep_N(n_values, cfg, ens, bath=None, tau_max=None, steps=None, frame="inte
         "warnings": [],
     }
     shared = None
-    if cfg.eta == 0:
+    if cfg.eta == 0 and n_values:
         probe = replace(cfg, N=max(n_values))
-        t = _resolve_grid(probe, bath, None, steps, tau_max, meta)
-        shared = dephasing_grid(t, bath)
-
-    def run(n):
-        c = replace(cfg, N=n)
-        if shared is not None:
-            series = time_series(c, ens, bath, frame=frame, grid=shared)
-        else:
-            series = time_series(c, ens, bath, tau_max=tau_max, steps=steps, frame=frame)
-        peak, tau_c, status = _series_stats(series)
-        return (n, peak.c_max, peak.tau_peak, tau_c, status)
-
-    rows = _pmap(run, n_values)
-    return SweepResult(columns=("n", "c_max", "tau_peak", "tau_c", "status"), rows=rows, meta=meta)
+        shared = dephasing_grid(_resolve_grid(probe, bath, None, steps, tau_max, meta), bath)
+    points = [((n,), replace(cfg, N=n)) for n in n_values]
+    return _sweep(points, ("n",), meta, ens, bath, tau_max, steps, frame, grid=shared)
 
 
 def sweep_kappa(kappa_values, cfg, ens, bath=None, tau_max=None, steps=None, frame="interaction"):
@@ -311,17 +317,8 @@ def sweep_kappa(kappa_values, cfg, ens, bath=None, tau_max=None, steps=None, fra
         "kappa_values": list(kappa_values),
         "warnings": [],
     }
-
-    def run(k):
-        c = replace(cfg, kappa_c=k)
-        series = time_series(c, ens, bath, tau_max=tau_max, steps=steps, frame=frame)
-        peak, tau_c, status = _series_stats(series)
-        return (k, peak.c_max, peak.tau_peak, tau_c, status)
-
-    rows = _pmap(run, kappa_values)
-    return SweepResult(
-        columns=("kappa_c", "c_max", "tau_peak", "tau_c", "status"), rows=rows, meta=meta
-    )
+    points = [((k,), replace(cfg, kappa_c=k)) for k in kappa_values]
+    return _sweep(points, ("kappa_c",), meta, ens, bath, tau_max, steps, frame)
 
 
 def sweep_eta(eta_values, n_values, cfg, ens, bath=None, tau_max=None, steps=None, frame="interaction"):
@@ -339,45 +336,8 @@ def sweep_eta(eta_values, n_values, cfg, ens, bath=None, tau_max=None, steps=Non
         "n_values": list(n_values),
         "warnings": [],
     }
-    tasks = [(e, n) for e in eta_values for n in n_values]
-
-    def run(task):
-        e, n = task
-        c = replace(cfg, eta=e, N=n)
-        series = time_series(c, ens, bath, tau_max=tau_max, steps=steps, frame=frame)
-        peak, tau_c, status = _series_stats(series)
-        return (e, n, peak.c_max, peak.tau_peak, tau_c, status)
-
-    rows = _pmap(run, tasks)
-    return SweepResult(
-        columns=("eta", "n", "c_max", "tau_peak", "tau_c", "status"), rows=rows, meta=meta
-    )
-
-
-def _abstract_factors(s_knob, gamma_l_knob, gamma_c_knob):
-    F = np.ones((4, 4), dtype=complex)
-    phase = np.exp(1j * s_knob)
-    dl = math.exp(-gamma_l_knob)
-    dc = math.exp(-gamma_c_knob)
-    F[0, 1] = phase * dl * dc
-    F[0, 2] = phase * dl * dc
-    F[0, 3] = dl**2 * dc**4
-    F[1, 2] = dl**2
-    F[1, 3] = np.conj(phase) * dl * dc
-    F[2, 3] = np.conj(phase) * dl * dc
-    iu = np.triu_indices(4, k=1)
-    F[iu[1], iu[0]] = np.conj(F[iu[0], iu[1]])
-    return F
-
-
-def abstract_state(s1, s2, s_knob, gamma_l_knob=0.0, gamma_c_knob=0.0):
-    """Two-qubit state with the phase and decay exponents set directly.
-
-    s_knob stands for the product kappa^2 S(t) and the gamma knobs for
-    kappa_l^2 Gamma_l and kappa_c^2 Gamma_c, treated as free parameters.
-    """
-    rho0 = initial_two_qubit(s1, s2)
-    return rho0 * _abstract_factors(s_knob, gamma_l_knob, gamma_c_knob)
+    points = [((e, n), replace(cfg, eta=e, N=n)) for e in eta_values for n in n_values]
+    return _sweep(points, ("eta", "n"), meta, ens, bath, tau_max, steps, frame)
 
 
 def _clip_v(p, v):
@@ -412,25 +372,18 @@ def grid_pv(
     bath = bath if bath is not None else BathConfig()
     values1 = [float(x) for x in values1]
     values2 = values1 if values2 is None else [float(x) for x in values2]
+    if not values1 or not values2:
+        raise ValidationError("grid_pv needs at least one value on each axis")
     meta = {"experiment": "grid-pv", "mode": mode, "warnings": []}
-    rows = []
     if mode == "symmetric-pv":
         meta.update({"s_knob": s_knob, "gamma_l_knob": gamma_l_knob, "gamma_c_knob": gamma_c_knob})
-        F = _abstract_factors(s_knob, gamma_l_knob, gamma_c_knob)
-        stack = []
-        flags = []
-        for p in values1:
-            for v in values2:
-                vc, clipped = _clip_v(p, v)
-                s = SpinInit(p=p, v=vc)
-                stack.append(initial_two_qubit(s, s) * F)
-                flags.append(clipped)
-        C = concurrence_series(np.array(stack))
-        i = 0
-        for p in values1:
-            for v in values2:
-                rows.append((p, v, float(C[i]), int(flags[i])))
-                i += 1
+        F = _factor_matrix(s_knob, gamma_l_knob, gamma_c_knob)[None]
+
+        def cell(p, v):
+            vc, clipped = _clip_v(p, v)
+            s = SpinInit(p=p, v=vc)
+            return initial_two_qubit(s, s), clipped
+
         cols = ("p", "v", "c_max", "clipped")
     elif mode == "dynamic-corner":
         if cfg is None:
@@ -446,46 +399,35 @@ def grid_pv(
                 "background_p": ens_background,
             }
         )
-        t = _resolve_grid(cfg, bath, None, steps, tau_max, meta)
-        grid = dephasing_grid(t, bath)
+        grid = dephasing_grid(_resolve_grid(cfg, bath, None, steps, tau_max, meta), bath)
         probe = SpinInit(p=0.5, v=0.0)
         ens0 = EnsembleConfig(spin1=probe, spin2=probe, background_p=ens_background)
-        F = _factor_series_cached(grid, cfg, ens0)
-        cells = []
-        flags = []
-        for p1 in values1:
-            for p2 in values2:
-                v1, c1 = _clip_v(p1, p1)
-                v2, c2 = _clip_v(p2, p2)
-                r0 = initial_two_qubit(SpinInit(p=p1, v=v1), SpinInit(p=p2, v=v2))
-                cells.append(r0)
-                flags.append(c1 or c2)
-        cells = np.array(cells)
-        block = max(1, int(2e5 / max(grid.t.size, 1)))
-        cmax = np.empty(len(cells))
-        for start in range(0, len(cells), block):
-            sub = cells[start : start + block, None, :, :] * F[None, :, :, :]
-            cmax[start : start + block] = concurrence_series(sub).max(axis=1)
-        i = 0
-        for p1 in values1:
-            for p2 in values2:
-                rows.append((p1, p2, float(cmax[i]), int(flags[i])))
-                i += 1
+        F = _evolution_factors(grid.t, grid.S, grid.Gamma, cfg, ens0, "interaction")
+
+        def cell(p1, p2):
+            v1, c1 = _clip_v(p1, p1)
+            v2, c2 = _clip_v(p2, p2)
+            return initial_two_qubit(SpinInit(p=p1, v=v1), SpinInit(p=p2, v=v2)), c1 or c2
+
         cols = ("p1", "p2", "c_max", "clipped")
     else:
         raise ValidationError("unknown grid_pv mode %r" % (mode,))
+    keys = [(a, b) for a in values1 for b in values2]
+    cells, flags = zip(*(cell(a, b) for a, b in keys))
+    cells = np.array(cells)
+    # the evolved stack of a block holds about 2e5 states
+    block = max(1, int(2e5 / F.shape[0]))
+    cmax = np.empty(len(cells))
+    for start in range(0, len(cells), block):
+        sub = cells[start : start + block, None, :, :] * F[None, :, :, :]
+        cmax[start : start + block] = concurrence_series(sub).max(axis=1)
+    rows = [key + (float(c), int(f)) for key, c, f in zip(keys, cmax, flags)]
     feasible = [r for r in rows if not r[3]]
     if feasible:
         best = max(feasible, key=lambda r: r[2])
         meta["argmax"] = (best[0], best[1])
         meta["c_max"] = best[2]
     return SweepResult(columns=cols, rows=rows, meta=meta)
-
-
-def _factor_series_cached(grid, cfg, ens):
-    from .dynamics import _factor_matrix
-
-    return _factor_matrix(grid.t, grid.S, grid.Gamma, grid.Gamma, cfg, ens, "interaction")
 
 
 def limits_compare(eta, n_values, t, s1, s2, kappa_c, kappa_l=0.0, background_p=0.5, bath=None):

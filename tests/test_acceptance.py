@@ -341,6 +341,9 @@ class TestDeterminism:
             "eta": ["sweep-eta", "--eta-values", "0.0,0.4", "--n-min", "4",
                     "--n-max", "12", "--n-step", "4", "--tau-max", "1.0",
                     "--steps", "500"],
+            # eta = 0: every N shares one grid resolved for the largest N
+            "n": ["sweep-n", "--eta", "0", "--n-min", "2", "--n-max", "12",
+                  "--tau-max", "1.0", "--steps", "500"],
         }
         ok = True
         for name, argv in sweeps.items():

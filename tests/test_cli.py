@@ -90,6 +90,20 @@ class TestExitCodes:
         assert code == 2
         assert "finite" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep-kappa", "--kappa-values", ""],
+            ["sweep-n", "--n-min", "10", "--n-max", "4"],
+            ["sweep-eta", "--eta-values", ""],
+        ],
+        ids=["kappa", "n", "eta"],
+    )
+    def test_empty_sweep_is_validation(self, capsys, argv):
+        code, out, err = _run(capsys, argv)
+        assert code == 2 and not out
+        assert "no points" in err
+
     def test_unknown_flag(self, capsys):
         code, _, err = _run(capsys, ["timeseries", "--bogus", "1"])
         assert code == 2

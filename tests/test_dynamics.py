@@ -1,6 +1,7 @@
 """Tests for the closed-form two-qubit evolution and its limits."""
 
 import cmath
+from dataclasses import replace
 import math
 
 import numpy as np
@@ -191,13 +192,20 @@ class TestBackground:
             want = (p * np.exp(1j * a) + (1 - p) * np.exp(-1j * a)) ** (N - 2)
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
-    def test_heterogeneous_vs_direct_product(self):
+    @pytest.mark.parametrize(
+        "ps",
+        [
+            np.random.default_rng(7).uniform(0.0, 1.0, size=23),
+            # repeated populations and both endpoints
+            [0.2, 0.2, 0.7, 0.7, 0.7, 0.0, 1.0],
+        ],
+        ids=["distinct", "repeats"],
+    )
+    def test_heterogeneous_vs_direct_product(self, ps):
         bath = BathConfig()
         t = np.linspace(0.0, 20.0, 41)
         S = phase_S(t, bath)
-        rng = np.random.default_rng(7)
-        ps = rng.uniform(0.0, 1.0, size=23)
-        cfg = CouplingConfig(kappa_c=0.4, N=25)
+        cfg = CouplingConfig(kappa_c=0.4, N=len(ps) + 2)
         ens = EnsembleConfig(
             spin1=SpinInit(p=0.5), spin2=SpinInit(p=0.5), background_p=ps
         )
@@ -397,6 +405,23 @@ class TestLimits:
         d = 1.0  # kappa_l = 0
         m = np.array([[0.5, 0.48 * d], [0.48 * d, 0.5]])
         np.testing.assert_allclose(rho, np.kron(m, m), atol=1e-15)
+
+    def test_large_eta_without_background_spins(self):
+        # N = 2 has no background, so P_inf = 1 like P_N
+        bath = BathConfig()
+        cfg = CouplingConfig(kappa_c=0.2, kappa_l=0.1, eta=0.5, N=2)
+        s1 = SpinInit(p=0.55, v=0.4)
+        s2 = SpinInit(p=0.35, v=0.3j)
+        ens = EnsembleConfig(spin1=s1, spin2=s2, background_p=[])
+        t = 12.0
+        rho = limit_state_large_eta(t, s1, s2, cfg, ens, bath=bath)
+        d = math.exp(-cfg.kappa_l**2 * decay_Gamma(t, bath))
+        f1 = np.array([[s1.p, s1.v * d], [np.conj(s1.v * d), 1 - s1.p]])
+        f2 = np.array([[s2.p, s2.v * d], [np.conj(s2.v * d), 1 - s2.p]])
+        np.testing.assert_allclose(rho, np.kron(f1, f2), atol=1e-15)
+        short = EnsembleConfig(spin1=s1, spin2=s2, background_p=[0.3, 0.3])
+        with pytest.raises(ValidationError):
+            limit_state_large_eta(t, s1, s2, replace(cfg, N=10), short, bath=bath)
 
     @pytest.mark.parametrize("eta", [0.1, 0.5])
     def test_finite_n_converges(self, eta):

@@ -219,6 +219,19 @@ class TestSweeps:
             res_e.column("c_max"), res_n.column("c_max"), atol=1e-12
         )
 
+    @pytest.mark.parametrize(
+        "sweep",
+        [
+            lambda cfg, ens, bath: sweep_N([], cfg, ens, bath),
+            lambda cfg, ens, bath: sweep_kappa([], cfg, ens, bath),
+            lambda cfg, ens, bath: sweep_eta([], [4, 8], cfg, ens, bath),
+        ],
+        ids=["n", "kappa", "eta"],
+    )
+    def test_empty_sweep_rejected(self, bath, std_ens, sweep):
+        with pytest.raises(ValidationError, match="no points"):
+            sweep(CouplingConfig(kappa_c=0.1, N=4), std_ens, bath)
+
     def test_determinism_across_worker_counts(self, bath, std_ens, monkeypatch):
         cfg = CouplingConfig(kappa_c=0.1, N=4)
         outs = []
@@ -259,6 +272,12 @@ class TestGridPV:
     def test_dynamic_mode_needs_cfg(self):
         with pytest.raises(ValidationError):
             grid_pv(np.linspace(0, 0.5, 3), mode="dynamic-corner")
+
+    @pytest.mark.parametrize("mode", ["symmetric-pv", "dynamic-corner"])
+    def test_empty_axis_rejected(self, bath, mode):
+        cfg = CouplingConfig(kappa_c=0.05, N=8)
+        with pytest.raises(ValidationError):
+            grid_pv([], mode=mode, cfg=cfg, bath=bath, steps=100)
 
     def test_unknown_mode(self):
         with pytest.raises(ValidationError):
