@@ -17,7 +17,6 @@ cutoff through epsilon = beta k_c.
 from .bath import (
     BathConfig,
     DephasingGrid,
-    QuadratureSettings,
     decay_Gamma,
     dephasing_grid,
     gamma_saturation,
@@ -85,7 +84,6 @@ __all__ = [
     "NumericalError",
     "PeakResult",
     "QuadratureError",
-    "QuadratureSettings",
     "SpinInit",
     "SweepResult",
     "TimeSeries",

@@ -27,22 +27,38 @@ S has the elementary closed form
     S(t) = -(k_c^2 / 2) * [ x/3 - (sin x - x cos x)/x^2 ],   x = k_c t,
 
 evaluated through a Maclaurin branch at small x where the bracket suffers
-catastrophic cancellation.  Gamma has no elementary antiderivative because
-of the coth factor and is evaluated by adaptive quadrature, switching to a
-cosine-weighted (oscillatory) rule once x > 50.
+catastrophic cancellation.  Gamma has no elementary antiderivative
+because of the coth factor.  Writing omega coth(beta omega/2) =
+omega + 2 omega/(e^{beta omega} - 1), each part f on its range [0, L]
+gives I(f, L, t) = int_0^L f(w) sin^2(w t/2) dw, evaluated for all t at
+once with K = 48 Legendre terms and h = L t/2:
+
+- h < K: a fixed Gauss-Legendre rule of 2K nodes on f sin^2, a sum of
+  non-negative terms, so nothing cancels against Gamma_inf at small t;
+- h >= K: with f(L (1 + x)/2) = sum_k a_k P_k(x) and
+  int_{-1}^{1} P_k(x) e^{ihx} dx = 2 i^k j_k(h) (DLMF 10.54.2),
+  I = (L/2) a_0 - (L/2) Re[e^{ih} sum_{k<K} a_k i^k j_k(h)], with j_k from
+  the upward recurrence of DLMF 10.51.1, which is stable for k < K <= h.
+
+The linear part, on [0, k_c], is exact in two terms.  The Bose part is
+analytic in |Im w| < 2 pi/beta and is cut at beta w = 40, where it is
+below 1e-15 of its peak 2/beta, so its coefficients decay at a rate that
+does not depend on epsilon and one K serves every epsilon.  Gamma_inf is
+the sum of the two (L/2) a_0.  As |P_k| <= 1 and |j_k| <= 1, the terms
+left out are bounded by (L/2) sum_{k>=K} |a_k|, estimated per part as
+L (|a_{K-2}| + |a_{K-1}|); an estimate above 1e-8 Gamma_inf raises
+QuadratureError.
 """
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
 import math
 
 import numpy as np
-from scipy import integrate
+from numpy.polynomial import legendre
 
 from .errors import NumericalError, QuadratureError, ValidationError
 
 __all__ = [
-    "QuadratureSettings",
     "BathConfig",
     "DephasingGrid",
     "phase_S",
@@ -54,23 +70,12 @@ __all__ = [
 # switch S to its Maclaurin branch below this x = k_c*t; the direct form
 # cancels like x^5 so it loses ~60*eps/x^5 relative accuracy at small x
 _SERIES_X = 0.5
-# switch Gamma to the cosine-weighted rule above this x
-_OSCILLATORY_X = 50.0
-
-
-@dataclass(frozen=True)
-class QuadratureSettings:
-    """Tolerances and budget for the adaptive quadrature of Gamma."""
-
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-14
-    max_subdivisions: int = 200
-
-    def __post_init__(self):
-        if not (self.rel_tol > 0 and self.abs_tol > 0):
-            raise ValidationError("quadrature tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise ValidationError("max_subdivisions must be >= 1")
+# Legendre terms K per part of Gamma; the Gauss rule has 2K nodes
+_TERMS = 48
+# the Bose part of Gamma is cut at beta * omega = 40
+_BOSE_CUT = 40.0
+# largest accepted tail estimate, relative to Gamma_inf
+_TAIL_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -88,24 +93,26 @@ class BathConfig:
         given it must satisfy that identity to 1e-12 relative.
     form_factor : str
         Only "sqrt-cutoff" is supported.
-    quadrature : QuadratureSettings
     """
 
     epsilon: float = 1.0
     theta: float = 1.0
     k_c: float = None
     form_factor: str = "sqrt-cutoff"
-    quadrature: QuadratureSettings = field(default_factory=QuadratureSettings)
 
     def __post_init__(self):
-        if not (self.epsilon > 0 and self.theta > 0):
-            raise ValidationError("epsilon and theta must be positive")
         derived = self.epsilon * self.theta
+        if not all(0 < v < math.inf for v in (self.epsilon, self.theta, derived)):
+            raise ValidationError(
+                "epsilon, theta and epsilon*theta must be positive and finite, got %r, %r and %r"
+                % (self.epsilon, self.theta, derived)
+            )
         if self.k_c is None:
             object.__setattr__(self, "k_c", derived)
-        elif not (self.k_c > 0) or abs(self.k_c - derived) > 1e-12 * derived:
+        elif not (0 < self.k_c < math.inf) or abs(self.k_c - derived) > 1e-12 * derived:
             raise ValidationError(
-                "k_c must equal epsilon*theta (= %.17g), got %r" % (derived, self.k_c)
+                "k_c must be finite and equal epsilon*theta (= %.17g), got %r"
+                % (derived, self.k_c)
             )
         if self.form_factor != "sqrt-cutoff":
             raise ValidationError("unsupported form factor %r" % (self.form_factor,))
@@ -179,78 +186,71 @@ def phase_S(t, cfg=None):
     return out if out.ndim else float(out)
 
 
-def _coth_weight(omega, beta):
-    """omega * coth(beta omega / 2), stable as omega -> 0."""
-    u = 0.5 * beta * omega
-    if u < 1e-4:
-        # u/tanh(u) = 1 + u^2/3 - u^4/45 + ...
-        return (2.0 / beta) * (1.0 + u * u / 3.0 - u**4 / 45.0)
-    return omega / math.tanh(u)
+# Gauss-Legendre nodes and weights on [-1, 1]; their count is 2K
+_RULE = legendre.leggauss(2 * _TERMS)
 
 
-@lru_cache(maxsize=64)
-def _saturation(k_c, beta, rel_tol, abs_tol, limit):
-    val, err = integrate.quad(
-        _coth_weight, 0.0, k_c, args=(beta,), epsrel=rel_tol, epsabs=abs_tol, limit=limit
+def _sin2_integral(f, L, t):
+    """I(f, L, t) at every t of a flat array, (L/2) a_0 and the tail estimate.
+
+    f maps omega in (0, L) to the integrand's weight; the branches and the
+    estimate are those of the module docstring.
+    """
+    x, weights = _RULE
+    terms = x.size // 2
+    w = 0.5 * L * (1.0 + x)
+    fw = 0.5 * L * weights * f(w)
+    # (L/2) a_k = (k + 1/2) sum_i (L/2) weight_i f(w_i) P_k(x_i)
+    a = (np.arange(terms) + 0.5) * (fw @ legendre.legvander(x, terms - 1))
+    h = 0.5 * L * t
+    out = np.empty_like(t)
+
+    near = h < terms
+    half_t = 0.5 * t[near]
+    acc = np.zeros_like(half_t)
+    for wi, ci in zip(w, fw):
+        acc += ci * np.sin(wi * half_t) ** 2
+    out[near] = acc
+
+    hf = h[~near]
+    sin_h, cos_h = np.sin(hf), np.cos(hf)
+    inv = 1.0 / hf
+    j_prev, j = sin_h * inv, (sin_h * inv - cos_h) * inv
+    # i^k a_k: real for even k, imaginary for odd k
+    signed = a * np.array([1.0, 1.0, -1.0, -1.0])[np.arange(terms) % 4]
+    sums = [signed[0] * j_prev, signed[1] * j]
+    for k in range(2, terms):
+        j_prev, j = j, (2 * k - 1) * inv * j - j_prev
+        sums[k % 2] += signed[k] * j
+    out[~near] = a[0] - (cos_h * sums[0] - sin_h * sums[1])
+    return out, a[0], 2.0 * (abs(a[-2]) + abs(a[-1]))
+
+
+def _gamma(t, cfg):
+    """Gamma at every t of a flat array, and Gamma_inf."""
+    beta = cfg.beta
+    linear = _sin2_integral(lambda w: w, cfg.k_c, t)
+    bose = _sin2_integral(
+        lambda w: 2.0 * w / np.expm1(beta * w), min(cfg.k_c, _BOSE_CUT / beta), t
     )
-    return 0.5 * val, 0.5 * err
+    gamma, saturation, tail = (p + q for p, q in zip(linear, bose))
+    if tail > _TAIL_TOL * saturation:
+        raise QuadratureError(
+            "Gamma's Legendre tail estimate %.3g exceeds %g of Gamma_inf = %.17g"
+            % (tail, _TAIL_TOL, saturation),
+            error_estimate=tail,
+        )
+    return gamma, saturation
 
 
 def gamma_saturation(cfg=None):
     """Large-time limit (1/2) int_0^{k_c} omega coth(beta omega/2) domega."""
     cfg = cfg if cfg is not None else BathConfig()
-    q = cfg.quadrature
-    val, _ = _saturation(cfg.k_c, cfg.beta, q.rel_tol, q.abs_tol, q.max_subdivisions)
-    return val
-
-
-def _gamma_point(t, cfg):
-    if t == 0.0:
-        return 0.0
-    q = cfg.quadrature
-    x = cfg.k_c * t
-    if x <= _OSCILLATORY_X:
-        val, err = integrate.quad(
-            lambda w: _coth_weight(w, cfg.beta) * math.sin(0.5 * w * t) ** 2,
-            0.0,
-            cfg.k_c,
-            epsrel=q.rel_tol,
-            epsabs=q.abs_tol,
-            limit=q.max_subdivisions,
-        )
-    else:
-        # sin^2(wt/2) = (1 - cos(wt))/2; the cos part goes to a QAWO rule
-        # that subdivides by oscillation cycles.
-        sat, sat_err = _saturation(cfg.k_c, cfg.beta, q.rel_tol, q.abs_tol, q.max_subdivisions)
-        osc, osc_err = integrate.quad(
-            _coth_weight,
-            0.0,
-            cfg.k_c,
-            args=(cfg.beta,),
-            weight="cos",
-            wvar=t,
-            epsrel=q.rel_tol,
-            epsabs=q.abs_tol,
-            limit=q.max_subdivisions,
-            maxp1=100,
-            limlst=100,
-        )
-        val = sat - 0.5 * osc
-        err = sat_err + 0.5 * osc_err
-    tol = max(1e-8 * max(abs(val), 1.0), 10.0 * q.abs_tol)
-    if not math.isfinite(val):
-        raise NumericalError("decay_Gamma produced a non-finite value at t=%r" % (t,))
-    if err > tol:
-        raise QuadratureError(
-            "Gamma quadrature at t=%r did not converge (error estimate %.3g)" % (t, err),
-            error_estimate=err,
-        )
-    # quadrature noise can leave a tiny negative residue near t=0
-    return max(val, 0.0)
+    return float(_gamma(np.zeros(0), cfg)[1])
 
 
 def decay_Gamma(t, cfg=None):
-    """Decoherence exponent Gamma(t) by adaptive quadrature.
+    """Decoherence exponent Gamma(t) by the Legendre evaluator above.
 
     Accepts a scalar or array of times t >= 0.  Gamma(0) = 0 and
     Gamma(t) >= 0 everywhere.
@@ -259,9 +259,9 @@ def decay_Gamma(t, cfg=None):
     arr = np.asarray(t, dtype=float)
     if np.any(arr < 0):
         raise ValidationError("decay_Gamma requires t >= 0")
-    flat = arr.ravel()
-    vals = np.array([_gamma_point(float(ti), cfg) for ti in flat])
-    out = vals.reshape(arr.shape)
+    out = _gamma(arr.ravel(), cfg)[0].reshape(arr.shape)
+    if not np.all(np.isfinite(out)):
+        raise NumericalError("decay_Gamma produced a non-finite value")
     return out if arr.ndim else float(out)
 
 
@@ -269,21 +269,15 @@ def dephasing_grid(times, cfg=None):
     """Evaluate S and Gamma on an ordered time grid.
 
     The rows agree with pointwise calls by construction; precomputing a
-    grid amortizes the Gamma quadrature across a sweep.
+    grid lets a sweep share one bath evaluation across configurations.
     """
     cfg = cfg if cfg is not None else BathConfig()
     t = np.asarray(times, dtype=float)
     if t.ndim != 1:
         raise ValidationError("dephasing_grid expects a one dimensional time grid")
-    if t.size == 0:
-        return DephasingGrid(t=t, S=t.copy(), Gamma=t.copy())
     if np.any(t < 0):
         raise ValidationError("dephasing_grid requires all t >= 0")
     if np.any(np.diff(t) <= 0):
         raise ValidationError("dephasing_grid requires strictly increasing times")
-    S = phase_S(t, cfg)
-    Gamma = decay_Gamma(t, cfg)
-    for name, arr in (("S", S), ("Gamma", Gamma)):
-        if not np.all(np.isfinite(arr)):
-            raise NumericalError("dephasing_grid produced non-finite %s" % name)
-    return DephasingGrid(t=t, S=np.asarray(S), Gamma=np.asarray(Gamma))
+    # both raise NumericalError on a non-finite value
+    return DephasingGrid(t=t, S=phase_S(t, cfg), Gamma=decay_Gamma(t, cfg))

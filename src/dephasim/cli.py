@@ -344,8 +344,11 @@ def _run_sweep_eta(vals):
 
 def _run_grid_pv(vals):
     mode = vals["mode"]
+    gp = vals["grid_points"]
+    if gp is not None and gp < 1:
+        raise ValidationError("grid_points must be >= 1, got %d" % gp)
     if mode == "symmetric-pv":
-        gp = vals["grid_points"] or 51
+        gp = 51 if gp is None else gp
         res = grid_pv(
             np.linspace(0.0, 1.0, gp),
             np.linspace(0.0, 0.5, gp),
@@ -355,7 +358,7 @@ def _run_grid_pv(vals):
             gamma_c_knob=vals["gamma_c_knob"],
         )
     else:
-        gp = vals["grid_points"] or 26
+        gp = 26 if gp is None else gp
         cfg = CouplingConfig(
             kappa_c=vals["kappa_c"], kappa_l=vals["kappa_l"], eta=vals["eta"], N=vals["n"]
         )
@@ -440,6 +443,8 @@ def main(argv=None):
     try:
         sub, vals = parse_args(argv)
         columns, rows, info = _RUNNERS[sub](vals)
+        config = dict(vals, subcommand=sub)
+        emit(columns, rows, config, info, vals.get("format", "csv"), vals.get("output", "-"))
     except ValidationError as exc:
         print("dephasim: error: %s" % exc, file=sys.stderr)
         return 2
@@ -449,11 +454,8 @@ def main(argv=None):
     except DephasimError as exc:
         print("dephasim: %s" % exc, file=sys.stderr)
         return 4
-    config = dict(vals)
-    config["subcommand"] = sub
-    try:
-        emit(columns, rows, config, info, vals.get("format", "csv"), vals.get("output", "-"))
     except OSError as exc:
+        # --output, or fit's --input; an unreadable --config is a ValidationError
         print("dephasim: I/O error: %s" % exc, file=sys.stderr)
         return 3
     return 0

@@ -18,7 +18,7 @@ class NumericalError(DephasimError, ArithmeticError):
 
 
 class QuadratureError(NumericalError):
-    """Adaptive quadrature failed to converge within its budget."""
+    """An integral's error estimate exceeds its tolerance."""
 
     def __init__(self, message, error_estimate=None):
         super().__init__(message)

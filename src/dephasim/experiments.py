@@ -148,11 +148,13 @@ def _resolve_grid(cfg, bath, t_max, steps, tau_max, meta):
     ke2 = cfg.effective_kappa_c**2
     if t_max is None:
         window = TAU_WINDOW if tau_max is None else float(tau_max)
+        if not math.isfinite(window):
+            raise ValidationError("tau_max must be finite, got %r" % (window,))
         if ke2 == 0:
             raise ValidationError("t_max is required when the collective coupling is zero")
         t_max = window / (ke2 * bath.nu_c)
-    if t_max <= 0:
-        raise ValidationError("t_max must be positive")
+    if not 0 < t_max < math.inf:
+        raise ValidationError("t_max must be positive and finite, got %r" % (t_max,))
     if steps is None:
         steps = DEFAULT_STEPS
         if ke2 > 0:
@@ -180,7 +182,7 @@ def _resolve_grid(cfg, bath, t_max, steps, tau_max, meta):
 def time_series(cfg, ens, bath=None, t_max=None, steps=None, tau_max=None, frame="interaction", grid=None):
     """Evolve and score concurrence on a uniform time grid.
 
-    Passing a precomputed DephasingGrid reuses its quadrature across
+    Passing a precomputed DephasingGrid reuses its S and Gamma across
     configurations that share the same times.
     """
     bath = bath if bath is not None else BathConfig()
@@ -276,8 +278,8 @@ def _sweep(points, key_columns, meta, ens, bath, tau_max, steps, frame, grid=Non
 def sweep_N(n_values, cfg, ens, bath=None, tau_max=None, steps=None, frame="interaction"):
     """Per-N peak and collapse statistics at a fixed coupling.
 
-    With eta = 0 every N shares the same time grid, so the bath quadrature
-    is computed once and reused.
+    With eta = 0 every N shares the same time grid, so S and Gamma are
+    evaluated once and reused.
     """
     bath = bath if bath is not None else BathConfig()
     n_values = [int(n) for n in n_values]
@@ -440,6 +442,8 @@ def limits_compare(eta, n_values, t, s1, s2, kappa_c, kappa_l=0.0, background_p=
     if eta <= 0 or eta == 0.25:
         raise ValidationError("limits require eta in (0, 1/4) or (1/4, inf)")
     n_values = [int(n) for n in n_values]
+    if not n_values:
+        raise ValidationError("limits has no points to compare")
     ens = EnsembleConfig(spin1=s1, spin2=s2, background_p=background_p)
     regime = "small-eta" if eta < 0.25 else "large-eta"
     meta = {

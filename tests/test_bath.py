@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
+from dephasim import bath as bath_module
 from dephasim import (
     BathConfig,
+    QuadratureError,
     ValidationError,
     decay_Gamma,
     dephasing_grid,
@@ -39,6 +41,19 @@ def _gamma_riemann(t, bath, panels):
     w = (np.arange(panels) + 0.5) * h
     f = w / np.tanh(0.5 * bath.beta * w) * np.sin(0.5 * w * t) ** 2
     return float(np.sum(f) * h)
+
+
+def _gamma_gauss(t, bath):
+    # composite 20-node Gauss-Legendre on the whole w coth(beta w/2)
+    # sin^2(wt/2): panels no wider than half a period of sin^2, 2/beta or
+    # k_c/8, and a sum of positive terms
+    width = min(math.pi / t, 2.0 / bath.beta, bath.k_c / 8.0)
+    panels = int(math.ceil(bath.k_c / width))
+    x, weights = special.roots_legendre(20)
+    half = 0.5 * bath.k_c / panels
+    w = ((np.arange(panels) + 0.5) * (2.0 * half))[:, None] + half * x
+    f = w / np.tanh(0.5 * bath.beta * w) * np.sin(0.5 * w * t) ** 2
+    return float(half * np.sum(f @ weights))
 
 
 class TestPhase:
@@ -139,7 +154,7 @@ class TestDecay:
         assert np.all(np.abs(tail - sat) < 1.2 / 300.0)
 
     def test_branch_crossover_consistency(self):
-        # direct and oscillatory-remainder branches meet at k_c t = 50
+        # k_c t = 50 was where an earlier adaptive rule switched branches
         bath = BathConfig()
         for t in (49.0, 51.0):
             want = _gamma_riemann(t, bath, 1_000_000)
@@ -150,6 +165,32 @@ class TestDecay:
         for t in (0.7, 9.0):
             want = _gamma_riemann(t, bath, 1_000_000)
             assert decay_Gamma(t, bath) == pytest.approx(want, rel=1e-6)
+
+    def test_series_switch(self):
+        # the Gauss rule covers h = k_c t/2 < K, the Legendre series h >= K
+        bath = BathConfig()
+        t_k = 2.0 * bath_module._TERMS / bath.k_c
+        below, at = decay_Gamma(np.array([np.nextafter(t_k, 0.0), t_k]), bath)
+        assert at == pytest.approx(below, rel=1e-13)
+        for t in (0.999 * t_k, 1.001 * t_k):
+            want = _gamma_riemann(t, bath, 1_000_000)
+            assert decay_Gamma(t, bath) == pytest.approx(want, rel=1e-6)
+
+    def test_large_cutoff_vs_gauss_oracle(self):
+        # epsilon = 1e3: the Bose part is cut at beta w = 40, so its series
+        # switches at t = 2.4 and the linear part's at t = 0.096
+        bath = BathConfig(epsilon=1e3, theta=1.0)
+        times = np.logspace(-6, 2, 17)
+        want = np.array([_gamma_gauss(t, bath) for t in times])
+        np.testing.assert_allclose(decay_Gamma(times, bath), want, rtol=1e-13)
+        sat = 0.5 * (bath.k_c**2 / 2.0 + math.pi**2 / (3.0 * bath.beta**2))
+        assert gamma_saturation(bath) == pytest.approx(sat, rel=1e-13)
+
+    def test_tail_guard(self, monkeypatch):
+        # eight terms cannot represent the Bose part up to beta w = 40
+        monkeypatch.setattr(bath_module, "_RULE", np.polynomial.legendre.leggauss(16))
+        with pytest.raises(QuadratureError):
+            decay_Gamma(np.array([0.1, 10.0]), BathConfig(epsilon=100.0))
 
 
 class TestGrid:
@@ -190,6 +231,12 @@ class TestConfig:
         {"epsilon": -1.0},
         {"theta": 0.0},
         {"theta": -2.0},
+        {"epsilon": math.nan},
+        {"epsilon": math.inf},
+        {"theta": math.nan},
+        {"theta": math.inf},
+        {"epsilon": 1e200, "theta": 1e200},
+        {"k_c": math.inf},
     ])
     def test_rejects_nonpositive(self, kwargs):
         with pytest.raises(ValidationError):

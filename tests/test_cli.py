@@ -2,10 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import dephasim
 from dephasim.cli import main, parse_args
 
 
@@ -26,6 +30,18 @@ def _config_lines(text):
 
 def _data_lines(text):
     return [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
+
+
+def _child(argv, cwd):
+    # the child runs in cwd, so a relative PYTHONPATH (such as src) would
+    # miss the package; point it at the one imported here
+    pkg_root = os.path.dirname(os.path.dirname(dephasim.__file__))
+    inherited = os.environ.get("PYTHONPATH")
+    pythonpath = pkg_root + (os.pathsep + inherited if inherited else "")
+    env = dict(os.environ, PYTHONPATH=pythonpath)
+    return subprocess.run(
+        [sys.executable] + argv, cwd=cwd, env=env, capture_output=True, text=True
+    )
 
 
 class TestParsing:
@@ -83,7 +99,10 @@ class TestExitCodes:
         assert code == 2
         assert "|v|" in err or "coherence" in err
 
-    @pytest.mark.parametrize("flag", ["--kappa-c", "--kappa-l", "--eta"])
+    @pytest.mark.parametrize(
+        "flag",
+        ["--kappa-c", "--kappa-l", "--eta", "--epsilon", "--theta", "--t-max", "--tau-max"],
+    )
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_coupling_is_validation(self, capsys, flag, value):
         code, _, err = _run(capsys, ["timeseries", "--n", "4", "--steps", "4", flag, value])
@@ -96,8 +115,9 @@ class TestExitCodes:
             ["sweep-kappa", "--kappa-values", ""],
             ["sweep-n", "--n-min", "10", "--n-max", "4"],
             ["sweep-eta", "--eta-values", ""],
+            ["limits", "--n-values", ""],
         ],
-        ids=["kappa", "n", "eta"],
+        ids=["kappa", "n", "eta", "limits"],
     )
     def test_empty_sweep_is_validation(self, capsys, argv):
         code, out, err = _run(capsys, argv)
@@ -114,6 +134,17 @@ class TestExitCodes:
             ["timeseries", "--steps", "4", "--output", "/nonexistent-dir/o.csv"],
         )
         assert code == 3
+
+    def test_unreadable_input(self, tmp_path, capsys):
+        code, out, err = _run(capsys, ["fit", "--input", str(tmp_path / "missing.csv")])
+        assert code == 3 and not out
+        assert "missing.csv" in err
+
+    @pytest.mark.parametrize("points", ["-1", "0"])
+    def test_nonpositive_grid_points_is_validation(self, capsys, points):
+        code, out, err = _run(capsys, ["grid-pv", "--grid-points", points])
+        assert code == 2 and not out
+        assert "grid_points" in err
 
     def test_fit_requires_input(self, capsys):
         code, _, err = _run(capsys, ["fit"])
@@ -301,3 +332,18 @@ class TestSubcommands:
         data = _data_lines(out)
         assert data[0] == "eta,n,c_max,tau_peak,tau_c,status"
         assert len(data) == 5
+
+
+class TestChildProcess:
+    def test_import_loads_no_scipy(self, tmp_path):
+        code = "import sys, dephasim; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+        proc = _child(["-c", code], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
+    def test_timeseries_writes_nothing_to_stderr(self, tmp_path):
+        argv = ["-m", "dephasim.cli", "timeseries", "--n", "4", "--epsilon", "5",
+                "--steps", "200", "--output", "out.csv"]
+        proc = _child(argv, tmp_path)
+        assert proc.returncode == 0
+        assert proc.stderr == ""
