@@ -173,13 +173,13 @@ def _bracket(x):
 def phase_S(t, cfg=None):
     """Collective phase S(t), closed form.
 
-    Accepts a scalar or array of times t >= 0 and returns matching shape.
+    Accepts a scalar or array of finite times t >= 0 and returns matching shape.
     S(0) = 0 and S(t) <= 0 for all t.
     """
     cfg = cfg if cfg is not None else BathConfig()
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ValidationError("phase_S requires t >= 0")
+    if not np.all((t >= 0) & (t < math.inf)):
+        raise ValidationError("phase_S requires finite t >= 0")
     out = -(cfg.k_c**2 / 2.0) * _bracket(cfg.k_c * t)
     if not np.all(np.isfinite(out)):
         raise NumericalError("phase_S produced a non-finite value")
@@ -252,13 +252,13 @@ def gamma_saturation(cfg=None):
 def decay_Gamma(t, cfg=None):
     """Decoherence exponent Gamma(t) by the Legendre evaluator above.
 
-    Accepts a scalar or array of times t >= 0.  Gamma(0) = 0 and
+    Accepts a scalar or array of finite times t >= 0.  Gamma(0) = 0 and
     Gamma(t) >= 0 everywhere.
     """
     cfg = cfg if cfg is not None else BathConfig()
     arr = np.asarray(t, dtype=float)
-    if np.any(arr < 0):
-        raise ValidationError("decay_Gamma requires t >= 0")
+    if not np.all((arr >= 0) & (arr < math.inf)):
+        raise ValidationError("decay_Gamma requires finite t >= 0")
     out = _gamma(arr.ravel(), cfg)[0].reshape(arr.shape)
     if not np.all(np.isfinite(out)):
         raise NumericalError("decay_Gamma produced a non-finite value")

@@ -4,9 +4,11 @@ Subcommands: timeseries, sweep-kappa, sweep-n, grid-pv, sweep-eta,
 limits, fit.  Every run resolves its configuration from defaults, an
 optional ``--config`` file of ``key = value`` lines, and command line
 flags, in that order of precedence (flags win).  Tables are emitted as
-CSV (``#``-prefixed metadata, then a header row) or JSON (one object
-with ``meta`` and ``rows``), with numbers at 17 significant digits;
-identical configurations produce byte-identical files.
+CSV (``#``-prefixed metadata, then a header row, then the body in
+blocks of rows) or JSON (one object with ``meta`` and ``rows``).  CSV
+writes floats as ``%.17g`` and JSON as Python's shortest ``repr``; both
+read back exactly, and identical configurations produce byte-identical
+files.
 
 Exit codes: 0 success, 2 usage or validation, 3 I/O, 4 numerical failure.
 """
@@ -231,13 +233,19 @@ def parse_args(argv):
     return sub, resolved
 
 
+# a float's text; _cells applies it to a whole float64 block at once
+_FLOAT = "%.17g"
+# rows formatted and written per step of the CSV body
+_BLOCK_ROWS = 8192
+
+
 def _fmt(x):
     if isinstance(x, bool):
         return "1" if x else "0"
     if isinstance(x, (int, np.integer)):
         return "%d" % x
     if isinstance(x, (float, np.floating)):
-        return "%.17g" % x
+        return _FLOAT % x
     if isinstance(x, (list, tuple)):
         return ",".join(_fmt(v) for v in x)
     if x is None:
@@ -245,29 +253,43 @@ def _fmt(x):
     return str(x)
 
 
-def emit(columns, rows, config, info, fmt, path):
-    """Write the table; CSV keeps a # metadata block above the header."""
+def _cells(part):
+    """The texts of a non-empty column slice, as _fmt gives them value by value."""
+    if isinstance(part, np.ndarray) and part.dtype == np.float64:
+        return ("\n".join([_FLOAT] * len(part)) % tuple(part.tolist())).split("\n")
+    return [_fmt(x) for x in part]
+
+
+def _csv_chunks(columns, data, config, info):
+    lines = ["# dephasim %s" % __version__]
+    lines.append("# config: subcommand = %s" % config["subcommand"])
+    for key in sorted(k for k in config if k != "subcommand"):
+        lines.append("# config: %s = %s" % (key, _fmt(config[key])))
+    for key in sorted(info):
+        lines.append("# info: %s = %s" % (key, _fmt(info[key])))
+    lines.append(",".join(columns))
+    yield "\n".join(lines) + "\n"
+    # a column object listed twice (gamma_l and gamma_c) is formatted once
+    unique = {id(col): col for col in data}
+    for start in range(0, len(data[0]), _BLOCK_ROWS):
+        cells = {key: _cells(col[start:start + _BLOCK_ROWS]) for key, col in unique.items()}
+        yield "\n".join(map(",".join, zip(*(cells[id(col)] for col in data)))) + "\n"
+
+
+def emit(columns, data, config, info, fmt, path):
+    """Write a table given column by column; CSV keeps a # metadata block above the header."""
     if fmt == "csv":
-        lines = ["# dephasim %s" % __version__]
-        lines.append("# config: subcommand = %s" % config["subcommand"])
-        for key in sorted(k for k in config if k != "subcommand"):
-            lines.append("# config: %s = %s" % (key, _fmt(config[key])))
-        for key in sorted(info):
-            lines.append("# info: %s = %s" % (key, _fmt(info[key])))
-        lines.append(",".join(columns))
-        for row in rows:
-            lines.append(",".join(_fmt(x) for x in row))
-        text = "\n".join(lines) + "\n"
+        chunks = _csv_chunks(columns, data, config, info)
     else:
         meta = {"tool": "dephasim %s" % __version__, "config": config, "info": info,
                 "columns": list(columns)}
-        body = {"meta": meta, "rows": [list(r) for r in rows]}
-        text = json.dumps(body, sort_keys=True, indent=2, default=_fmt) + "\n"
+        body = {"meta": meta, "rows": [list(r) for r in zip(*data)]}
+        chunks = [json.dumps(body, sort_keys=True, indent=2, default=_fmt) + "\n"]
     if path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
 
 
 def _ensemble(cfg_values):
@@ -291,6 +313,12 @@ def _info_from(meta):
     return info
 
 
+def _table(res):
+    """A SweepResult as (columns, one list per column, info)."""
+    data = [[row[i] for row in res.rows] for i in range(len(res.columns))]
+    return res.columns, data, _info_from(res.meta)
+
+
 def _run_timeseries(vals):
     cfg = CouplingConfig(
         kappa_c=vals["kappa_c"], kappa_l=vals["kappa_l"], eta=vals["eta"], N=vals["n"]
@@ -304,7 +332,8 @@ def _run_timeseries(vals):
         tau_max=vals["tau_max"],
         frame=vals["frame"],
     )
-    return ts.columns, ts.rows(), _info_from(ts.meta)
+    data = (ts.t, ts.tau, ts.concurrence, ts.abs_p_n, ts.S, ts.gamma_l, ts.gamma_c)
+    return ts.columns, data, _info_from(ts.meta)
 
 
 def _run_sweep_kappa(vals):
@@ -315,7 +344,7 @@ def _run_sweep_kappa(vals):
         vals["kappa_values"], cfg, _ensemble(vals), _bath(vals),
         tau_max=vals["tau_max"], steps=vals["steps"], frame=vals["frame"],
     )
-    return res.columns, res.rows, _info_from(res.meta)
+    return _table(res)
 
 
 def _n_list(vals):
@@ -330,7 +359,7 @@ def _run_sweep_n(vals):
         _n_list(vals), cfg, _ensemble(vals), _bath(vals),
         tau_max=vals["tau_max"], steps=vals["steps"], frame=vals["frame"],
     )
-    return res.columns, res.rows, _info_from(res.meta)
+    return _table(res)
 
 
 def _run_sweep_eta(vals):
@@ -339,7 +368,7 @@ def _run_sweep_eta(vals):
         vals["eta_values"], _n_list(vals), cfg, _ensemble(vals), _bath(vals),
         tau_max=vals["tau_max"], steps=vals["steps"], frame=vals["frame"],
     )
-    return res.columns, res.rows, _info_from(res.meta)
+    return _table(res)
 
 
 def _run_grid_pv(vals):
@@ -372,7 +401,7 @@ def _run_grid_pv(vals):
             tau_max=vals["tau_max"],
             steps=vals["steps"],
         )
-    return res.columns, res.rows, _info_from(res.meta)
+    return _table(res)
 
 
 def _run_limits(vals):
@@ -382,7 +411,7 @@ def _run_limits(vals):
         kappa_c=vals["kappa_c"], kappa_l=vals["kappa_l"],
         background_p=vals["background_p"], bath=_bath(vals),
     )
-    return res.columns, res.rows, _info_from(res.meta)
+    return _table(res)
 
 
 def _read_table(path):
@@ -422,9 +451,10 @@ def _run_fit(vals):
         )
     fit = fit_exponential(x, y, n_range=rng)
     cols = ("slope", "stderr", "r_squared", "intercept", "n_used", "n_excluded")
-    rows = [(fit.slope, fit.stderr, fit.r_squared, fit.intercept, fit.n_used, fit.n_excluded)]
+    data = [[fit.slope], [fit.stderr], [fit.r_squared], [fit.intercept], [fit.n_used],
+            [fit.n_excluded]]
     info = {"fit_range": "%s..%s" % fit.n_range, "warnings": "none"}
-    return cols, rows, info
+    return cols, data, info
 
 
 _RUNNERS = {
@@ -442,9 +472,9 @@ def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         sub, vals = parse_args(argv)
-        columns, rows, info = _RUNNERS[sub](vals)
+        columns, data, info = _RUNNERS[sub](vals)
         config = dict(vals, subcommand=sub)
-        emit(columns, rows, config, info, vals.get("format", "csv"), vals.get("output", "-"))
+        emit(columns, data, config, info, vals.get("format", "csv"), vals.get("output", "-"))
     except ValidationError as exc:
         print("dephasim: error: %s" % exc, file=sys.stderr)
         return 2

@@ -1,6 +1,7 @@
 """Oracle and property tests for the reservoir integrals."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -212,6 +213,19 @@ class TestGrid:
     def test_rejects_matrix(self):
         with pytest.raises(ValidationError):
             dephasing_grid(np.zeros((2, 2)), BathConfig())
+
+
+class TestNonFiniteTime:
+    @pytest.mark.parametrize("func", [phase_S, decay_Gamma, dephasing_grid])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejected_before_evaluation(self, func, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="finite"):
+                func(np.array([0.0, 1.0, bad]), BathConfig())
+            if func is not dephasing_grid:
+                with pytest.raises(ValidationError, match="finite"):
+                    func(bad, BathConfig())
 
 
 class TestConfig:

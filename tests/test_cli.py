@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import dephasim
+from dephasim import cli
 from dephasim.cli import main, parse_args
 
 
@@ -200,6 +201,39 @@ class TestCsvOutput:
         assert math.isnan(float(cells[3]))
 
 
+class TestBlockWriter:
+    def test_blocks_match_fmt(self, monkeypatch, capsys):
+        # 7 rows in blocks of 3: two full blocks and a short one
+        monkeypatch.setattr(cli, "_BLOCK_ROWS", 3)
+        floats = np.array([-0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16, 1e17])
+        data = [
+            floats,
+            np.array([0.1, 1.0 / 3.0, 2.5, -1e-300, 1e300, 123456789.125, 7.0]),
+            [1, -2, 3, 40, 500, 6000, 70000],
+            [True, False, True, True, False, False, True],
+            ["ok", "no-collapse", "ok", "a", "b", "c", "no-entanglement"],
+            [math.nan, 0.5, math.nan, 1.25, math.nan, 2.0, math.nan],
+            floats,
+        ]
+        columns = ("f", "g", "i", "b", "s", "tau_c", "f_again")
+        cli.emit(columns, data, {"subcommand": "test"}, {}, "csv", "-")
+        body = _data_lines(capsys.readouterr().out)
+        assert body[0] == ",".join(columns)
+        assert body[1:] == [",".join(cli._fmt(x) for x in row) for row in zip(*data)]
+
+    def test_file_matches_stdout(self, tmp_path, capsys):
+        # 20000 rows span several blocks
+        argv = ["timeseries", "--steps", "20000", "--tau-max", "1.0"]
+        path = tmp_path / "out.csv"
+        code, out, _ = _run(capsys, argv + ["--output", "-"])
+        assert code == 0
+        assert main(argv + ["--output", str(path)]) == 0
+        written = path.read_text(encoding="utf-8")
+        echo = "# config: output = %s\n"
+        assert written.replace(echo % path, echo % "-") == out
+        assert len(_data_lines(out)) == 20001
+
+
 class TestRoundTrip:
     def test_metadata_reproduces_run(self, tmp_path, capsys):
         code, out, _ = _run(
@@ -241,6 +275,14 @@ class TestJsonOutput:
         assert body["meta"]["config"]["subcommand"] == "timeseries"
         assert len(body["rows"]) == 4
         assert body["rows"][0][0] == 0.0
+
+    def test_floats_use_repr(self, capsys):
+        # JSON writes Python's shortest round-trip repr, CSV writes %.17g
+        code, out, _ = _run(capsys, ["timeseries", "--steps", "3", "--format", "json"])
+        assert code == 0
+        assert json.loads(out)["rows"][1][1] == math.pi
+        assert "%s," % repr(math.pi) in out
+        assert "%.17g" % math.pi not in out
 
     def test_fit_reads_json(self, tmp_path, capsys):
         out_path = tmp_path / "sweep.json"

@@ -4,6 +4,7 @@ import cmath
 from dataclasses import replace
 import math
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 from scipy import optimize
@@ -456,6 +457,59 @@ class TestRescaledTime:
         cfg = CouplingConfig(kappa_c=0.1, N=4)
         assert tau_of_t(1.0, cfg, bath) == pytest.approx(
             0.01 * bath.k_c / (2 * math.pi)
+        )
+
+
+_UNIT = st.floats(min_value=0.0, max_value=1.0)
+
+
+@st.composite
+def _spins(draw):
+    p = draw(_UNIT)
+    size = draw(_UNIT) * math.sqrt(p * (1.0 - p))
+    if draw(st.booleans()):
+        v = cmath.rect(size, draw(st.floats(min_value=-math.pi, max_value=math.pi)))
+    else:
+        v = draw(st.sampled_from([1.0, -1.0])) * size
+    return SpinInit(p=p, v=v)
+
+
+@st.composite
+def _evolutions(draw):
+    """(rho0, evolved states) for a drawn configuration on a drawn time grid."""
+    N = draw(st.integers(min_value=2, max_value=12))
+    if draw(st.booleans()):
+        background = draw(_UNIT)
+    else:
+        background = draw(st.lists(_UNIT, min_size=N - 2, max_size=N - 2))
+    freq = st.floats(min_value=-5.0, max_value=5.0)
+    s1, s2 = draw(_spins()), draw(_spins())
+    ens = EnsembleConfig(s1, s2, background_p=background, omega1=draw(freq), omega2=draw(freq))
+    cfg = CouplingConfig(
+        kappa_c=draw(st.floats(min_value=0.0, max_value=2.0)),
+        kappa_l=draw(st.floats(min_value=0.0, max_value=2.0)),
+        eta=draw(st.floats(min_value=0.0, max_value=1.0)),
+        N=N,
+    )
+    bath = BathConfig(epsilon=draw(st.floats(min_value=0.2, max_value=5.0)))
+    t_max = draw(st.floats(min_value=1e-3, max_value=200.0))
+    frame = draw(st.sampled_from(["interaction", "lab"]))
+    rho0 = initial_two_qubit(s1, s2)
+    grid = dephasing_grid(np.linspace(0.0, t_max, 25), bath)
+    return rho0, evolve_series(rho0, grid, cfg, ens, frame=frame)
+
+
+class TestEvolvedStateProperties:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_evolutions())
+    def test_hermitian_unit_trace_psd_fixed_populations(self, case):
+        rho0, rhos = case
+        np.testing.assert_array_equal(rhos, np.conj(np.swapaxes(rhos, 1, 2)))
+        np.testing.assert_allclose(np.trace(rhos, axis1=1, axis2=2), 1.0, rtol=0, atol=1e-12)
+        assert np.linalg.eigvalsh(rhos).min() >= -1e-12
+        # dephasing never moves the populations
+        np.testing.assert_array_equal(
+            np.diagonal(rhos, axis1=1, axis2=2), np.broadcast_to(np.diag(rho0), (len(rhos), 4))
         )
 
 
