@@ -29,9 +29,20 @@ S has the elementary closed form
 evaluated through a Maclaurin branch at small x where the bracket suffers
 catastrophic cancellation.  Gamma has no elementary antiderivative
 because of the coth factor.  Writing omega coth(beta omega/2) =
-omega + 2 omega/(e^{beta omega} - 1), each part f on its range [0, L]
-gives I(f, L, t) = int_0^L f(w) sin^2(w t/2) dw, evaluated for all t at
-once with K = 48 Legendre terms and h = L t/2:
+omega + 2 omega/(e^{beta omega} - 1) splits it into two parts.
+
+The linear part has a closed form too:
+
+    int_0^{k_c} omega sin^2(omega t/2) domega = (k_c^2 / 2) g(x),
+    g(x) = 1/2 - (cos x + x sin x - 1)/x^2,   x = k_c t,
+
+with the Maclaurin branch g(x) = sum_{j>=1} (-1)^{j+1} x^{2j} / ((2j+2) (2j)!)
+below x = 2, where the direct form cancels.  Its share of Gamma_inf is
+k_c^2/4 and it leaves no tail.
+
+The Bose part f(w) = 2w/(e^{beta w} - 1) on [0, L] gives
+I(f, L, t) = int_0^L f(w) sin^2(w t/2) dw, evaluated for all t at once
+with K = 48 Legendre terms and h = L t/2:
 
 - h < K: a fixed Gauss-Legendre rule of 2K nodes on f sin^2, a sum of
   non-negative terms, so nothing cancels against Gamma_inf at small t;
@@ -40,14 +51,20 @@ once with K = 48 Legendre terms and h = L t/2:
   I = (L/2) a_0 - (L/2) Re[e^{ih} sum_{k<K} a_k i^k j_k(h)], with j_k from
   the upward recurrence of DLMF 10.51.1, which is stable for k < K <= h.
 
-The linear part, on [0, k_c], is exact in two terms.  The Bose part is
-analytic in |Im w| < 2 pi/beta and is cut at beta w = 40, where it is
-below 1e-15 of its peak 2/beta, so its coefficients decay at a rate that
-does not depend on epsilon and one K serves every epsilon.  Gamma_inf is
-the sum of the two (L/2) a_0.  As |P_k| <= 1 and |j_k| <= 1, the terms
-left out are bounded by (L/2) sum_{k>=K} |a_k|, estimated per part as
-L (|a_{K-2}| + |a_{K-1}|); an estimate above 1e-8 Gamma_inf raises
-QuadratureError.
+The rule's nodes are the roots of P_2K, found by Newton's method from
+x_i = cos(pi (i - 1/4)/(2K + 1/2)) with P_2K and its derivative from the
+three-term recurrence; the weights are 2/((1 - x^2) P_2K'(x)^2), and both
+are symmetrized about 0.  Unlike numpy's leggauss, which takes the nodes
+from an eigensolve, this makes no LAPACK call, so importing the module
+wakes no BLAS threads.
+
+The Bose part is analytic in |Im w| < 2 pi/beta and is cut at
+L = min(k_c, 40/beta), where it is below 1e-15 of its peak 2/beta, so its
+coefficients decay at a rate that does not depend on epsilon and one K
+serves every epsilon.  Gamma_inf is k_c^2/4 plus the Bose part's
+(L/2) a_0.  As |P_k| <= 1 and |j_k| <= 1, the terms left out are bounded
+by (L/2) sum_{k>=K} |a_k|, estimated as L (|a_{K-2}| + |a_{K-1}|); an
+estimate above 1e-8 Gamma_inf raises QuadratureError.
 """
 
 from dataclasses import dataclass
@@ -70,7 +87,15 @@ __all__ = [
 # switch S to its Maclaurin branch below this x = k_c*t; the direct form
 # cancels like x^5 so it loses ~60*eps/x^5 relative accuracy at small x
 _SERIES_X = 0.5
-# Legendre terms K per part of Gamma; the Gauss rule has 2K nodes
+# switch Gamma's linear part to its Maclaurin branch below this x = k_c*t;
+# the direct form loses ~1e-15 relative at x = 1 and ~2e-16 from x = 2
+_LINEAR_SERIES_X = 2.0
+# Maclaurin coefficients of g(x) in powers x^2, x^4, ..., x^22; the first
+# one left out is below 3e-18 of g at x = 2
+_LINEAR_SERIES = tuple(
+    (-1) ** (j + 1) / ((2 * j + 2) * math.factorial(2 * j)) for j in range(1, 12)
+)
+# Legendre terms K of the Bose part of Gamma; the Gauss rule has 2K nodes
 _TERMS = 48
 # the Bose part of Gamma is cut at beta * omega = 40
 _BOSE_CUT = 40.0
@@ -186,8 +211,36 @@ def phase_S(t, cfg=None):
     return out if out.ndim else float(out)
 
 
+def _gauss_legendre(n):
+    """Nodes and weights of the n-node Gauss-Legendre rule on [-1, 1], by Newton's method."""
+    x = -np.cos(np.pi * (np.arange(1, n + 1) - 0.25) / (n + 0.5))
+    # four steps reach rounding for n = 96; the fifth is a margin
+    for _ in range(5):
+        p_prev, p = np.ones_like(x), x
+        for k in range(2, n + 1):
+            p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
+        dp = n * (p_prev - x * p) / (1.0 - x * x)
+        x = x - p / dp
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    return 0.5 * (x - x[::-1]), 0.5 * (w + w[::-1])
+
+
 # Gauss-Legendre nodes and weights on [-1, 1]; their count is 2K
-_RULE = legendre.leggauss(2 * _TERMS)
+_RULE = _gauss_legendre(2 * _TERMS)
+
+
+def _linear_part(x):
+    """g(x) = 1/2 - (cos x + x sin x - 1)/x^2 with a series branch at small x."""
+    out = np.empty(x.shape)
+    small = x < _LINEAR_SERIES_X
+    x2 = x[small] ** 2
+    acc = np.full_like(x2, _LINEAR_SERIES[-1])
+    for c in _LINEAR_SERIES[-2::-1]:
+        acc = acc * x2 + c
+    out[small] = acc * x2
+    xb = x[~small]
+    out[~small] = 0.5 - (np.cos(xb) + xb * np.sin(xb) - 1.0) / (xb * xb)
+    return out
 
 
 def _sin2_integral(f, L, t):
@@ -228,12 +281,12 @@ def _sin2_integral(f, L, t):
 
 def _gamma(t, cfg):
     """Gamma at every t of a flat array, and Gamma_inf."""
-    beta = cfg.beta
-    linear = _sin2_integral(lambda w: w, cfg.k_c, t)
-    bose = _sin2_integral(
-        lambda w: 2.0 * w / np.expm1(beta * w), min(cfg.k_c, _BOSE_CUT / beta), t
+    beta, k_c = cfg.beta, cfg.k_c
+    bose, bose_inf, tail = _sin2_integral(
+        lambda w: 2.0 * w / np.expm1(beta * w), min(k_c, _BOSE_CUT / beta), t
     )
-    gamma, saturation, tail = (p + q for p, q in zip(linear, bose))
+    saturation = 0.25 * k_c * k_c + bose_inf
+    gamma = 0.5 * k_c * k_c * _linear_part(k_c * t) + bose
     if tail > _TAIL_TOL * saturation:
         raise QuadratureError(
             "Gamma's Legendre tail estimate %.3g exceeds %g of Gamma_inf = %.17g"

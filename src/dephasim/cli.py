@@ -415,16 +415,31 @@ def _run_limits(vals):
 
 
 def _read_table(path):
+    """(columns, rows) of a CSV or JSON table; a malformed one is a ValidationError."""
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ValidationError("%s is not UTF-8 text: %s" % (path, exc)) from exc
     if text.lstrip().startswith("{"):
-        body = json.loads(text)
-        return body["meta"]["columns"], body["rows"]
-    lines = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
-    if not lines:
-        raise ValidationError("no table found in %s" % path)
-    columns = lines[0].split(",")
-    rows = [ln.split(",") for ln in lines[1:]]
+        try:
+            body = json.loads(text)
+            columns, rows = body["meta"]["columns"], body["rows"]
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ValidationError("malformed JSON table in %s: %r" % (path, exc)) from exc
+    else:
+        lines = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
+        if not lines:
+            raise ValidationError("no table found in %s" % path)
+        columns = lines[0].split(",")
+        rows = [ln.split(",") for ln in lines[1:]]
+    if not isinstance(columns, list) or not isinstance(rows, list):
+        raise ValidationError("malformed table in %s: columns and rows must be lists" % path)
+    for i, row in enumerate(rows, 1):
+        if not isinstance(row, list) or len(row) != len(columns):
+            raise ValidationError(
+                "row %d of %s does not have the %d cells of its header" % (i, path, len(columns))
+            )
     return columns, rows
 
 

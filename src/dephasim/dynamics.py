@@ -71,6 +71,8 @@ class SpinInit:
     def __post_init__(self):
         if not (0.0 <= self.p <= 1.0):
             raise ValidationError("population p must lie in [0, 1], got %r" % (self.p,))
+        if not math.isfinite(abs(self.v)):
+            raise ValidationError("coherence v must be finite, got %r" % (self.v,))
         if abs(self.v) ** 2 > self.p * (1.0 - self.p) + _CONSTRAINT_TOL:
             raise ValidationError(
                 "|v|^2 <= p(1-p) violated: |%r|^2 > %r(1-%r)" % (self.v, self.p, self.p)
@@ -127,8 +129,9 @@ class EnsembleConfig:
 
     def __post_init__(self):
         ps = np.atleast_1d(np.asarray(self.background_p, dtype=float))
-        if np.any(ps < 0) or np.any(ps > 1):
-            raise ValidationError("background populations must lie in [0, 1]")
+        # a NaN fails both comparisons, so it is caught here too
+        if not np.all((ps >= 0) & (ps <= 1)):
+            raise ValidationError("background populations must be finite and lie in [0, 1]")
 
     def background_array(self, N):
         ps = np.atleast_1d(np.asarray(self.background_p, dtype=float))

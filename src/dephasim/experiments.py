@@ -4,12 +4,13 @@ Concurrence curves for different couplings align when plotted against the
 rescaled time tau = (kappa_c / N^eta)^2 nu_c t, so experiments fix a tau
 window (default [0, 2 pi]) and translate it to a time grid per
 configuration.  Each driver returns an immutable table sorted by its
-sweep key; sweep points are independent tasks, evaluated concurrently up
-to the DEPHASIM_THREADS cap and gathered in input order, which makes the
-output independent of scheduling.
+sweep key; sweep points are evaluated one after another, in input order,
+on the calling thread.  numpy's batched eigh, eigvalsh and det hold the
+interpreter lock, so a thread pool over points bought no wall time and
+cost CPU.  DEPHASIM_THREADS is still read and validated, so a malformed
+value is an error, but it no longer changes anything.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 import math
 import os
@@ -62,7 +63,11 @@ MAX_AUTO_STEPS = 20000
 
 
 def worker_count():
-    """Worker cap from DEPHASIM_THREADS; 0 or unset means cpu count."""
+    """Validated DEPHASIM_THREADS; 0 or unset means cpu count.
+
+    Sweeps call it so that a malformed value is still rejected; they run
+    on one thread whatever it returns.
+    """
     raw = os.environ.get("DEPHASIM_THREADS", "0").strip()
     try:
         n = int(raw)
@@ -71,16 +76,6 @@ def worker_count():
     if n < 0:
         raise ValidationError("DEPHASIM_THREADS must be >= 0")
     return n if n > 0 else (os.cpu_count() or 1)
-
-
-def _pmap(fn, items):
-    """Map preserving input order; concurrency never reorders results."""
-    items = list(items)
-    workers = min(worker_count(), max(len(items), 1))
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 @dataclass(frozen=True)
@@ -263,16 +258,15 @@ def _sweep(points, key_columns, meta, ens, bath, tau_max, steps, frame, grid=Non
     """
     if not points:
         raise ValidationError("%s has no points to sweep" % meta["experiment"])
-
-    def run(point):
-        key, c = point
+    worker_count()  # validated only: the points run on this thread
+    rows = []
+    for key, c in points:
         series = time_series(c, ens, bath, tau_max=tau_max, steps=steps, frame=frame, grid=grid)
         peak = peak_concurrence(series)
         col = collapse_time(series)
-        return key + (peak.c_max, peak.tau_peak, col.tau_c, col.status)
-
+        rows.append(key + (peak.c_max, peak.tau_peak, col.tau_c, col.status))
     columns = key_columns + ("c_max", "tau_peak", "tau_c", "status")
-    return SweepResult(columns=columns, rows=_pmap(run, points), meta=meta)
+    return SweepResult(columns=columns, rows=rows, meta=meta)
 
 
 def sweep_N(n_values, cfg, ens, bath=None, tau_max=None, steps=None, frame="interaction"):
@@ -376,6 +370,11 @@ def grid_pv(
     values2 = values1 if values2 is None else [float(x) for x in values2]
     if not values1 or not values2:
         raise ValidationError("grid_pv needs at least one value on each axis")
+    if not math.isfinite(s_knob):
+        raise ValidationError("s_knob must be finite, got %r" % (s_knob,))
+    for name, knob in (("gamma_l_knob", gamma_l_knob), ("gamma_c_knob", gamma_c_knob)):
+        if not 0 <= knob < math.inf:
+            raise ValidationError("%s must be finite and >= 0, got %r" % (name, knob))
     meta = {"experiment": "grid-pv", "mode": mode, "warnings": []}
     if mode == "symmetric-pv":
         meta.update({"s_knob": s_knob, "gamma_l_knob": gamma_l_knob, "gamma_c_knob": gamma_c_knob})
@@ -459,8 +458,9 @@ def limits_compare(eta, n_values, t, s1, s2, kappa_c, kappa_l=0.0, background_p=
         "warnings": [],
     }
     rho0 = initial_two_qubit(s1, s2)
-
-    def run(n):
+    worker_count()  # validated only: the points run on this thread
+    rows = []
+    for n in n_values:
         cfg = CouplingConfig(kappa_c=kappa_c, kappa_l=kappa_l, eta=eta, N=n)
         rho = evolve(rho0, t, cfg, ens, bath)
         if regime == "small-eta":
@@ -468,14 +468,12 @@ def limits_compare(eta, n_values, t, s1, s2, kappa_c, kappa_l=0.0, background_p=
         else:
             lim = limit_state_large_eta(t, s1, s2, cfg, ens, bath)
         dist = float(np.max(np.abs(rho - lim)))
-        return (
+        rows.append((
             n,
             dist,
             concurrence(rho, validate=False).value,
             concurrence(lim, validate=False).value,
-        )
-
-    rows = _pmap(run, n_values)
+        ))
     return SweepResult(
         columns=("n", "distance", "concurrence_n", "concurrence_limit"), rows=rows, meta=meta
     )

@@ -194,6 +194,48 @@ class TestDecay:
             decay_Gamma(np.array([0.1, 10.0]), BathConfig(epsilon=100.0))
 
 
+class TestGaussRule:
+    def test_matches_leggauss(self):
+        x, w = bath_module._RULE
+        x_ref, w_ref = np.polynomial.legendre.leggauss(2 * bath_module._TERMS)
+        np.testing.assert_allclose(x, x_ref, rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(w, w_ref, rtol=2e-12)
+
+    def test_discrete_orthogonality(self):
+        # sum_i w_i P_j(x_i) P_k(x_i) = 2 delta_jk/(2j + 1) while j + k < 2n
+        x, w = bath_module._RULE
+        top = 2 * x.size - 1
+        V = np.polynomial.legendre.legvander(x, top)
+        gram = V.T @ (w[:, None] * V)
+        j = np.arange(top + 1)
+        exact = (j[:, None] + j[None, :]) <= top
+        want = np.diag(2.0 / (2 * j + 1))
+        np.testing.assert_allclose(gram[exact], want[exact], rtol=0.0, atol=1e-14)
+
+
+class TestLinearPart:
+    @staticmethod
+    def _oracle(x, L):
+        # int_0^L w sin^2(w t/2) dw at t = x/L, scaled to g(x) = 2 I/L^2
+        t = x / L
+        val, _ = integrate.quad(
+            lambda w: w * math.sin(0.5 * w * t) ** 2, 0.0, L, epsabs=0.0, epsrel=1e-13, limit=500
+        )
+        return 2.0 * val / (L * L)
+
+    @pytest.mark.parametrize("L", [1.0, 40.0])
+    def test_vs_quadrature_oracle(self, L):
+        switch = bath_module._LINEAR_SERIES_X
+        x = np.array([1e-6, 1e-3, 0.1, 1.0, 0.999 * switch, 1.001 * switch, 3.0, 10.0, 1e3])
+        want = np.array([self._oracle(v, L) for v in x])
+        np.testing.assert_allclose(bath_module._linear_part(x), want, rtol=1e-14)
+
+    def test_series_switch(self):
+        switch = bath_module._LINEAR_SERIES_X
+        below, at = bath_module._linear_part(np.array([np.nextafter(switch, 0.0), switch]))
+        assert at == pytest.approx(below, rel=1e-15)
+
+
 class TestGrid:
     def test_matches_pointwise(self):
         bath = BathConfig()

@@ -102,13 +102,26 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "flag",
-        ["--kappa-c", "--kappa-l", "--eta", "--epsilon", "--theta", "--t-max", "--tau-max"],
+        [
+            "--kappa-c", "--kappa-l", "--eta", "--epsilon", "--theta", "--t-max", "--tau-max",
+            "--v", "--background-p", "limits --background-p", "grid-pv --s-knob",
+            "grid-pv --gamma-l-knob", "grid-pv --gamma-c-knob",
+        ],
     )
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_coupling_is_validation(self, capsys, flag, value):
-        code, _, err = _run(capsys, ["timeseries", "--n", "4", "--steps", "4", flag, value])
+        # a bare flag goes to timeseries; otherwise the subcommand comes first
+        *sub, flag = flag.split()
+        argv = sub or ["timeseries", "--n", "4", "--steps", "4"]
+        code, _, err = _run(capsys, argv + [flag, value])
         assert code == 2
         assert "finite" in err
+
+    @pytest.mark.parametrize("flag", ["--gamma-l-knob", "--gamma-c-knob"])
+    def test_negative_gamma_knob_is_validation(self, capsys, flag):
+        code, out, err = _run(capsys, ["grid-pv", flag, "-5"])
+        assert code == 2 and not out
+        assert flag[2:].replace("-", "_") in err
 
     @pytest.mark.parametrize(
         "argv",
@@ -140,6 +153,24 @@ class TestExitCodes:
         code, out, err = _run(capsys, ["fit", "--input", str(tmp_path / "missing.csv")])
         assert code == 3 and not out
         assert "missing.csv" in err
+
+    @pytest.mark.parametrize(
+        "name, content",
+        [
+            ("empty.json", b"{}"),
+            ("truncated.json", b'{"meta": {"columns": ["n", "c_max"]}, "rows": [[2, 0.1], [4'),
+            ("rows.json", b'{"meta": {"columns": ["n", "c_max"]}, "rows": 7}'),
+            ("short_row.csv", b"n,c_max\n2,0.1\n4\n6,0.01\n"),
+            ("binary.csv", b"n,c_max\n\xd0\xff\x00\n"),
+        ],
+        ids=["empty", "truncated", "rows-not-list", "short-row", "binary"],
+    )
+    def test_malformed_input_is_validation(self, tmp_path, capsys, name, content):
+        table = tmp_path / name
+        table.write_bytes(content)
+        code, out, err = _run(capsys, ["fit", "--input", str(table)])
+        assert code == 2 and not out
+        assert name in err
 
     @pytest.mark.parametrize("points", ["-1", "0"])
     def test_nonpositive_grid_points_is_validation(self, capsys, points):
@@ -382,6 +413,21 @@ class TestChildProcess:
         proc = _child(["-c", code], tmp_path)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"
+
+    def test_import_calls_no_lapack(self, tmp_path):
+        # numpy's leggauss takes its nodes from eigvalsh; a LAPACK call at
+        # import leaves BLAS threads spinning in every process
+        code = (
+            "import numpy.linalg as la\n"
+            "def refuse(*args, **kwargs):\n"
+            "    raise RuntimeError('numpy.linalg called at import')\n"
+            "for name in la.__all__:\n"
+            "    if callable(getattr(la, name)) and not isinstance(getattr(la, name), type):\n"
+            "        setattr(la, name, refuse)\n"
+            "import dephasim\n"
+        )
+        proc = _child(["-c", code], tmp_path)
+        assert proc.returncode == 0, proc.stderr
 
     def test_timeseries_writes_nothing_to_stderr(self, tmp_path):
         argv = ["-m", "dephasim.cli", "timeseries", "--n", "4", "--epsilon", "5",

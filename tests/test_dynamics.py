@@ -148,6 +148,13 @@ class TestSpinInit:
         with pytest.raises(ValidationError):
             SpinInit(p=0.1, v=0.4)
 
+    @pytest.mark.parametrize(
+        "v", [math.nan, math.inf, -math.inf, complex(0.1, math.nan), complex(math.inf, 0.0)]
+    )
+    def test_non_finite_coherence(self, v):
+        with pytest.raises(ValidationError, match="finite"):
+            SpinInit(p=0.5, v=v)
+
     def test_initial_product(self):
         s1 = SpinInit(p=0.5, v=0.48)
         s2 = SpinInit(p=0.3, v=0.1j)
@@ -251,6 +258,13 @@ class TestBackground:
             mod = np.abs(background_factor(t, cfg, ens, bath=bath))
             assert np.all(mod <= 1.0 + 1e-12)
             assert np.all(mod >= abs(2 * p - 1) ** 28 - 1e-12)
+
+    @pytest.mark.parametrize(
+        "background_p", [math.nan, math.inf, -math.inf, [0.5, math.nan], np.array([math.inf, 0.2])]
+    )
+    def test_non_finite_background(self, background_p):
+        with pytest.raises(ValidationError, match="finite"):
+            EnsembleConfig(spin1=SpinInit(p=0.5), spin2=SpinInit(p=0.5), background_p=background_p)
 
     def test_background_length_mismatch(self):
         ens = EnsembleConfig(

@@ -283,6 +283,23 @@ class TestGridPV:
         with pytest.raises(ValidationError):
             grid_pv(np.linspace(0, 1, 3), mode="diagonal")
 
+    @pytest.mark.parametrize(
+        "knobs",
+        [
+            {"s_knob": math.nan},
+            {"s_knob": math.inf},
+            {"gamma_l_knob": math.nan},
+            {"gamma_l_knob": math.inf},
+            {"gamma_l_knob": -5.0},
+            {"gamma_c_knob": math.nan},
+            {"gamma_c_knob": -math.inf},
+            {"gamma_c_knob": -1e-300},
+        ],
+    )
+    def test_rejects_bad_knobs(self, knobs):
+        with pytest.raises(ValidationError, match=next(iter(knobs))):
+            grid_pv(np.linspace(0.0, 1.0, 3), np.linspace(0.0, 0.5, 3), **knobs)
+
 
 class TestLimitsCompare:
     def test_small_eta_monotone(self, bath):
