@@ -235,7 +235,7 @@ def parse_args(argv):
 
 # a float's text; _cells applies it to a whole float64 block at once
 _FLOAT = "%.17g"
-# rows formatted and written per step of the CSV body
+# rows formatted and written per step of the CSV and JSON bodies
 _BLOCK_ROWS = 8192
 
 
@@ -253,11 +253,48 @@ def _fmt(x):
     return str(x)
 
 
+# the encoder of json.dumps(..., sort_keys=True, indent=2, default=_fmt)
+_JSON = json.JSONEncoder(sort_keys=True, indent=2, default=_fmt)
+
+
 def _cells(part):
     """The texts of a non-empty column slice, as _fmt gives them value by value."""
     if isinstance(part, np.ndarray) and part.dtype == np.float64:
         return ("\n".join([_FLOAT] * len(part)) % tuple(part.tolist())).split("\n")
     return [_fmt(x) for x in part]
+
+
+def _json_cells(part):
+    """The JSON texts of a column slice, as json.dumps writes them inside a row."""
+    if isinstance(part, np.ndarray) and part.dtype == np.float64:
+        texts = list(map(float.__repr__, part.tolist()))
+        for i in np.flatnonzero(~np.isfinite(part)):
+            texts[i] = _JSON.encode(part[i])
+        return texts
+    return [_JSON.encode(x).replace("\n", "\n      ") for x in part]
+
+
+def _json_chunks(columns, data, config, info):
+    """json.dumps(body, sort_keys=True, indent=2, default=_fmt) + "\n", streamed by rows.
+
+    body = {"meta": meta, "rows": rows}; meta is encoded whole and
+    indented one level, then the rows follow in blocks of _BLOCK_ROWS.
+    """
+    meta = {"tool": "dephasim %s" % __version__, "config": config, "info": info,
+            "columns": list(columns)}
+    head = '{\n  "meta": %s,\n  "rows": ' % _JSON.encode(meta).replace("\n", "\n  ")
+    n_rows = len(data[0]) if data else 0
+    if not n_rows:
+        yield head + "[]\n}\n"
+        return
+    yield head + "["
+    unique = {id(col): col for col in data}
+    for start in range(0, n_rows, _BLOCK_ROWS):
+        cells = {key: _json_cells(col[start:start + _BLOCK_ROWS]) for key, col in unique.items()}
+        rows = map(",\n      ".join, zip(*(cells[id(col)] for col in data)))
+        text = "\n    ],\n    [\n      ".join(rows)
+        yield "%s\n    [\n      %s\n    ]" % ("," if start else "", text)
+    yield "\n  ]\n}\n"
 
 
 def _csv_chunks(columns, data, config, info):
@@ -278,13 +315,7 @@ def _csv_chunks(columns, data, config, info):
 
 def emit(columns, data, config, info, fmt, path):
     """Write a table given column by column; CSV keeps a # metadata block above the header."""
-    if fmt == "csv":
-        chunks = _csv_chunks(columns, data, config, info)
-    else:
-        meta = {"tool": "dephasim %s" % __version__, "config": config, "info": info,
-                "columns": list(columns)}
-        body = {"meta": meta, "rows": [list(r) for r in zip(*data)]}
-        chunks = [json.dumps(body, sort_keys=True, indent=2, default=_fmt) + "\n"]
+    chunks = (_csv_chunks if fmt == "csv" else _json_chunks)(columns, data, config, info)
     if path == "-":
         sys.stdout.writelines(chunks)
     else:

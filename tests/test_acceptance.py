@@ -344,6 +344,8 @@ class TestDeterminism:
             # eta = 0: every N shares one grid resolved for the largest N
             "n": ["sweep-n", "--eta", "0", "--n-min", "2", "--n-max", "12",
                   "--tau-max", "1.0", "--steps", "500"],
+            "grid": ["grid-pv", "--mode", "dynamic-corner", "--grid-points", "3",
+                     "--steps", "200", "--n", "8"],
         }
         ok = True
         for name, argv in sweeps.items():

@@ -315,6 +315,30 @@ class TestJsonOutput:
         assert "%s," % repr(math.pi) in out
         assert "%.17g" % math.pi not in out
 
+    @pytest.mark.parametrize("n_rows", [0, 2, 3, 4])
+    def test_stream_matches_dumps(self, monkeypatch, capsys, n_rows):
+        # blocks of 3 rows: empty, short of one block, one block, one row more
+        monkeypatch.setattr(cli, "_BLOCK_ROWS", 3)
+        floats = np.array([-0.0, math.nan, math.inf, -math.inf, 5e-324, 1.0 / 3.0])
+        data = [
+            floats[:n_rows],
+            np.arange(7, 7 + n_rows, dtype=np.int64),
+            [True, False, True, False][:n_rows],
+            ["ok", "no-collapse", "caf\u00e9", "a\"b"][:n_rows],
+            [None, 0.5, math.nan, None][:n_rows],
+            floats[::-1][:n_rows],
+            floats[:n_rows],
+        ]
+        columns = ("f", "i", "b", "s", "o", "r", "f_again")
+        config = {"subcommand": "test", "steps": None, "values": [0.1, 2], "n": np.int64(3)}
+        info = {"argmax": (0.5, 0.25), "c_max": 1.0 / 3.0, "warnings": "none"}
+        cli.emit(columns, data, config, info, "json", "-")
+        meta = {"tool": "dephasim %s" % dephasim.__version__, "config": config, "info": info,
+                "columns": list(columns)}
+        body = {"meta": meta, "rows": [list(r) for r in zip(*data)]}
+        want = json.dumps(body, sort_keys=True, indent=2, default=cli._fmt) + "\n"
+        assert capsys.readouterr().out == want
+
     def test_fit_reads_json(self, tmp_path, capsys):
         out_path = tmp_path / "sweep.json"
         code, _, _ = _run(

@@ -1,5 +1,6 @@
 """Tests for concurrence and the positive-partial-transpose witness."""
 
+import cmath
 import math
 
 from hypothesis import assume, given, settings, strategies as st
@@ -23,7 +24,16 @@ from dephasim import (
     t_of_tau,
     x_state_concurrence,
 )
-from dephasim.entanglement import _lambdas_stack
+from dephasim import entanglement
+from dephasim.dynamics import _evolution_factors, _factor_matrix
+from dephasim.entanglement import (
+    _SIGN,
+    _certified_separable,
+    _lambdas_stack,
+    _partial_transpose,
+    _pt_terms,
+)
+from dephasim.experiments import _clip_v, _product_states
 
 _SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _YY = np.kron(_SY, _SY)
@@ -164,6 +174,28 @@ class TestConcurrence:
             assert concurrence(rho).value == 0.0
             assert np.all(concurrence_series(np.stack([rho, rho, rho])) == 0.0)
 
+    @pytest.mark.parametrize("entangled", [True, False])
+    def test_one_kernel_call(self, monkeypatch, entangled):
+        calls = []
+
+        def counted(rhos):
+            calls.append(len(rhos))
+            return _lambdas_stack(rhos)
+
+        monkeypatch.setattr(entanglement, "_lambdas_stack", counted)
+        rng = np.random.default_rng(17)
+        rhos = [_random_density(rng) for _ in range(40)]
+        rhos = [r for r in rhos if (_pt_det(r[None])[0] < 0.0) == entangled][:5]
+        assert rhos
+        for rho in rhos:
+            calls.clear()
+            res = concurrence(rho)
+            assert calls == [1]
+            lam = _lambdas_stack(rho[None])[0]
+            assert res.lambdas == tuple(float(x) for x in lam)
+            assert res.value == concurrence_series(rho[None])[0]
+            assert (res.value > 0.0) == entangled
+
     def test_spin_flip_involution(self):
         rng = np.random.default_rng(21)
         rho = _random_density(rng)
@@ -184,6 +216,126 @@ class TestScreen:
         np.testing.assert_array_equal(got[kept], want[kept])
         assert np.all(got[~kept] == 0.0)
         assert want[~kept].max() <= 2e-8
+
+
+def _corner_pairs():
+    # cells and factor stack of the N = 40 corner grid: 11 x 11 cells
+    # (v_i = p_i), 4000 times
+    cfg = CouplingConfig(kappa_c=0.05, N=40)
+    grid = dephasing_grid(t_of_tau(np.linspace(0.0, 2.0 * math.pi, 4000), cfg), BathConfig())
+    probe = SpinInit(p=0.5, v=0.0)
+    ens = EnsembleConfig(probe, probe)
+    F = _evolution_factors(grid.t, grid.S, grid.Gamma, cfg, ens, "interaction")
+    axis = np.round(np.linspace(0.0, 0.5, 11), 12)
+    spins = [SpinInit(p=p, v=p) for p in axis]
+    return _product_states([a for a in spins for _ in spins], [b for _ in spins for b in spins]), F
+
+
+def _symmetric_pairs():
+    # the 51 x 51 symmetric (p, v) grid, clipped, at the default knobs and at
+    # non-zero ones
+    spins = [SpinInit(p=p, v=_clip_v(p, v)[0])
+             for p in np.linspace(0.0, 1.0, 51) for v in np.linspace(0.0, 0.5, 51)]
+    F = np.stack([_factor_matrix(math.pi / 2.0, 0.0, 0.0), _factor_matrix(1.1, 0.2, 0.3)])
+    return _product_states(spins, spins), F
+
+
+_UNIT = st.floats(min_value=0.0, max_value=1.0)
+
+
+@st.composite
+def _spins(draw):
+    p = draw(st.one_of(_UNIT, st.sampled_from([0.0, 1.0])))
+    # the full size |v|^2 = p(1 - p) is a pure spin
+    size = draw(st.one_of(_UNIT, st.just(1.0))) * math.sqrt(p * (1.0 - p))
+    if draw(st.booleans()):
+        return SpinInit(p=p, v=cmath.rect(size, draw(st.floats(-math.pi, math.pi))))
+    return SpinInit(p=p, v=draw(st.sampled_from([1.0, -1.0])) * size)
+
+
+@st.composite
+def _screen_cases(draw):
+    """(cells, F): 6 drawn cells and the factor stack of a drawn configuration."""
+    N = draw(st.integers(min_value=2, max_value=60))
+    freq = st.floats(min_value=-5.0, max_value=5.0)
+    ens = EnsembleConfig(draw(_spins()), draw(_spins()), background_p=draw(_UNIT),
+                         omega1=draw(freq), omega2=draw(freq))
+    cfg = CouplingConfig(
+        kappa_c=draw(st.floats(min_value=0.0, max_value=2.0)),
+        kappa_l=draw(st.floats(min_value=0.0, max_value=2.0)),
+        eta=draw(st.floats(min_value=0.0, max_value=1.0)),
+        N=N,
+    )
+    bath = BathConfig(epsilon=draw(st.floats(min_value=0.2, max_value=5.0)))
+    grid = dephasing_grid(np.linspace(0.0, draw(st.floats(1e-3, 200.0)), 40), bath)
+    F = _evolution_factors(grid.t, grid.S, grid.Gamma, cfg, ens,
+                           draw(st.sampled_from(["interaction", "lab"])))
+    spins = draw(st.lists(st.tuples(_spins(), _spins()), min_size=6, max_size=6))
+    return _product_states(*zip(*spins)), F
+
+
+class TestFactoredScreen:
+    """_certified_separable screens (cell, time) pairs from their factors."""
+
+    def test_terms_expand_the_determinant(self):
+        rng = np.random.default_rng(2)
+        A = rng.normal(size=(50, 4, 4)) + 1j * rng.normal(size=(50, 4, 4))
+        leibniz = (_SIGN * _pt_terms(A)).sum(axis=1)
+        lu = np.linalg.det(_partial_transpose(A))
+        np.testing.assert_allclose(leibniz, lu, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("pairs", [_corner_pairs, _symmetric_pairs])
+    def test_certified_pairs_are_separable(self, pairs):
+        # a certified pair has LU det >= 0, so the screen of concurrence_series
+        # would give it C = 0, and the unscreened kernel leaves only round-off
+        cells, F = pairs()
+        cert = _certified_separable(cells, F)
+        assert cert.any() and not cert.all()
+        for start in range(0, len(F), 500):
+            t, c = np.nonzero(cert[start : start + 500])
+            rhos = cells[c] * F[start + t]
+            assert np.all(_pt_det(rhos) >= 0.0)
+            lam = _lambdas_stack(rhos)
+            assert (lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3]).max() <= 2e-8
+
+    def test_badly_scaled_cells(self):
+        # populations down to 1e-150 beside O(1) ones: LU's det error scales
+        # with ||rho||_F^4, not with the Leibniz terms, and a band of 2^-40
+        # times their sum certifies two of these pairs whose LU det is < 0
+        # (p = 1e-100 with |v| at half its bound, beside p = 0.1365 or 0.7)
+        cfg = CouplingConfig(kappa_c=0.05, N=40)
+        grid = dephasing_grid(t_of_tau(np.linspace(0.0, 2.0 * math.pi, 200), cfg), BathConfig())
+        probe = SpinInit(p=0.5, v=0.0)
+        ens = EnsembleConfig(probe, probe)
+        F = _evolution_factors(grid.t, grid.S, grid.Gamma, cfg, ens, "interaction")
+        fractions = (0.0, 0.5, 1.0)
+        small = [SpinInit(p=10.0**-k, v=f * math.sqrt(10.0**-k * (1.0 - 10.0**-k)))
+                 for k in (20, 40, 60, 100, 125, 150) for f in fractions]
+        big = [SpinInit(p=p, v=f * math.sqrt(p * (1.0 - p)))
+               for p in (0.1365, 0.3, 0.5, 0.7) for f in fractions]
+        pairs = [(a, b) for a in small for b in big]
+        pairs += [(b, a) for a, b in pairs] + [(a, b) for a in big for b in big]
+        cells = _product_states(*zip(*pairs))
+        t, c = np.nonzero(_certified_separable(cells, F))
+        assert t.size
+        assert np.all(_pt_det(cells[c] * F[t]) >= 0.0)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_screen_cases())
+    def test_certified_implies_nonnegative_det(self, case):
+        cells, F = case
+        t, c = np.nonzero(_certified_separable(cells, F))
+        assert np.all(_pt_det(cells[c] * F[t]) >= 0.0)
+
+    def test_zero_det_and_nan_not_certified(self):
+        # p = 0 zeroes rows and columns of rho0^{T_B}: every term is 0
+        pure = SpinInit(p=0.0)
+        mixed = SpinInit(p=0.5, v=0.1)
+        cells = _product_states([pure, mixed, mixed], [mixed, pure, mixed])
+        F = np.stack([_factor_matrix(0.3, 0.1, 0.2), _factor_matrix(0.3, 0.1, 0.2)])
+        F[1, 0, 3] = F[1, 3, 0] = math.nan
+        cert = _certified_separable(cells, F)
+        np.testing.assert_array_equal(cert, [[False, False, True], [False, False, False]])
 
 
 _ENTRY = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False, allow_subnormal=False)

@@ -24,7 +24,10 @@ from dephasim import (
     sweep_kappa,
     time_series,
 )
-from dephasim.experiments import COLLAPSE_FLOOR, worker_count
+from dephasim import experiments
+from dephasim.dynamics import initial_two_qubit
+from dephasim.entanglement import concurrence_series
+from dephasim.experiments import COLLAPSE_FLOOR, _clip_v, _product_states, worker_count
 
 
 @pytest.fixture(scope="module")
@@ -268,6 +271,61 @@ class TestGridPV:
         p1 = np.array(res.column("p1"))
         c = np.array(res.column("c_max"))
         assert np.all(c[p1 == 0.0] == 0.0)
+
+    @pytest.mark.parametrize(
+        "mode,kwargs,axes",
+        [
+            ("dynamic-corner", {"cfg": CouplingConfig(kappa_c=0.05, N=8)}, (6, 0.5, 6, 0.5)),
+            ("dynamic-corner", {"cfg": CouplingConfig(kappa_c=0.05, N=40)}, (4, 0.5, 4, 0.5)),
+            ("dynamic-corner",
+             {"cfg": CouplingConfig(kappa_c=0.3, kappa_l=0.2, eta=0.3, N=12), "steps": 700},
+             (5, 0.5, 5, 0.5)),
+            ("symmetric-pv", {}, (21, 1.0, 21, 0.5)),
+            ("symmetric-pv", {"s_knob": 1.1, "gamma_l_knob": 0.2, "gamma_c_knob": 0.3},
+             (21, 1.0, 21, 0.5)),
+        ],
+        ids=["corner-n8", "corner-n40", "corner-local-scaled", "symmetric", "symmetric-knobs"],
+    )
+    def test_matches_formed_states(self, monkeypatch, bath, mode, kwargs, axes):
+        # the factored screen against forming and scoring every state, the
+        # loop grid_pv ran before; F is the stack grid_pv screens
+        blocks = []
+
+        def spy(cells, F):
+            blocks.append(F)
+            return screen(cells, F)
+
+        screen = experiments._certified_separable
+        monkeypatch.setattr(experiments, "_certified_separable", spy)
+        n1, top1, n2, top2 = axes
+        res = grid_pv(np.linspace(0.0, top1, n1), np.linspace(0.0, top2, n2), mode=mode,
+                      bath=bath, **kwargs)
+        F = np.concatenate(blocks)
+        cells = []
+        for a, b in ((r[0], r[1]) for r in res.rows):
+            if mode == "symmetric-pv":
+                s = SpinInit(p=a, v=_clip_v(a, b)[0])
+                cells.append(initial_two_qubit(s, s))
+            else:
+                cells.append(initial_two_qubit(SpinInit(p=a, v=_clip_v(a, a)[0]),
+                                               SpinInit(p=b, v=_clip_v(b, b)[0])))
+        cells = np.array(cells)
+        block = max(1, int(2e5 / F.shape[0]))
+        want = np.empty(len(cells))
+        for start in range(0, len(cells), block):
+            sub = cells[start : start + block, None, :, :] * F[None, :, :, :]
+            want[start : start + block] = concurrence_series(sub).max(axis=1)
+        np.testing.assert_array_equal(res.column("c_max"), want)
+        assert want.max() > 0.0
+
+    def test_product_states_match_kron(self):
+        spins = [SpinInit(p=0.0), SpinInit(p=1.0), SpinInit(p=0.3, v=0.2),
+                 SpinInit(p=0.2, v=0.3j), SpinInit(p=0.5, v=0.5), SpinInit(p=0.7, v=-0.1 + 0.25j)]
+        s1 = [a for a in spins for _ in spins]
+        s2 = [b for _ in spins for b in spins]
+        want = np.array([initial_two_qubit(a, b) for a, b in zip(s1, s2)])
+        got = _product_states(s1, s2)
+        assert got.tobytes() == want.tobytes()
 
     def test_dynamic_mode_needs_cfg(self):
         with pytest.raises(ValidationError):
