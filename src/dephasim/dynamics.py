@@ -322,6 +322,8 @@ def validate_two_qubit(rho, herm_tol=1e-10, trace_tol=1e-10, psd_tol=-1e-10):
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise ValidationError("expected a 4x4 density matrix, got shape %r" % (rho.shape,))
+    if not np.all(np.isfinite(rho)):
+        raise ValidationError("density matrix has non-finite entries")
     if np.max(np.abs(rho - rho.conj().T)) > herm_tol:
         raise ValidationError("density matrix is not Hermitian within tolerance")
     if abs(np.trace(rho).real - 1.0) > trace_tol or abs(np.trace(rho).imag) > trace_tol:

@@ -6,14 +6,41 @@ Concurrence uses the standard spin flip construction (Wootters, PRL 80,
     C(rho) = max(0, l1 - l2 - l3 - l4),
 
 where l_i are the decreasing square roots of the eigenvalues of
-rho rho_tilde.  The eigenvalues are obtained from the Hermitian form
-M = sqrt(rho) rho_tilde sqrt(rho), which has the same spectrum as
-rho rho_tilde and is numerically robust near rank deficiency.  Y x Y is
-real and anti-diagonal with signs s = (-1, 1, 1, -1), so the spin flip is
-the gather rho_tilde[i, j] = s_i s_j conj(rho[3 - i, 3 - j]).
+rho rho_tilde.  Y x Y is real and anti-diagonal with signs
+s = (-1, 1, 1, -1), so the spin flip is the gather
+rho_tilde[i, j] = s_i s_j conj(rho[3 - i, 3 - j]).
 
-Most evolved states are separable, so the two eigensolves run only on
-states that pass a screen.  For two qubits, rho is entangled if and only
+The kernel follows Wootters' proof, which holds for any factor
+rho = W W^H: tau = W^T (Y x Y) W is complex symmetric, and
+tau^H tau = W^H (Y x Y) W* W^T (Y x Y) W has the spectrum of
+rho rho_tilde.  With W = L, the lower Cholesky factor, a state costs one
+4 x 4 factorization and one eigvalsh of tau^H tau.  A Cholesky factor
+that completes is backward stable (Higham, Accuracy and Stability,
+Thm 10.3).  Against 30-digit references over 1000 random states, the
+lambdas of this route were within 4.4e-15, and those of the M route,
+eigvalsh of M = sqrt(rho) rho_tilde sqrt(rho) with sqrt(rho) from eigh,
+within 5.0e-13: sqrt(rho) takes the roots of the small eigenvalues of
+rho.  On a near-pure state of the symmetric grid the M route put C
+1.8e-8 low and this route 2e-16.  So the M route serves only the states
+without a factor.
+
+A state takes the tau route when it is finite and its four pivots are
+all > 0 (a NaN pivot fails).  A rank-deficient state (a Bell state, a
+pure spin in a product) has a zero or negative pivot and takes the M
+route, whose eigh copes with it; a non-finite state gets NaN lambdas.
+The factor and tau^H tau are written out with real ufuncs on rho.real
+and rho.imag only (tau[i, j] = 0 for i + j > 3, as L is lower
+triangular).  A real add, multiply, divide or sqrt is correctly rounded
+in every numpy loop, so a state's route and lambdas depend on that state
+alone, never on the others in its call.  Complex products would not do:
+numpy's SIMD loop rounds them unlike its scalar loop, and where an array
+switches between the two depends on its alignment, so with a complex
+factor the lambdas of a state moved by up to 2.6e-9 between the state
+alone and in a long stack.  np.linalg.cholesky is no use either: it
+fails the whole stack when one state is not positive definite.
+
+Most evolved states are separable, so the kernel runs only on states
+that pass a screen.  For two qubits, rho is entangled if and only
 if det(rho^{T_B}) < 0, where T_B is the partial transpose over the second
 qubit (Augusiak, Demianowicz, Horodecki, PRA 77, 030301(R), 2008).
 States with det >= 0 get C = 0 exactly; a pure spin in a product state
@@ -106,7 +133,9 @@ __all__ = [
     "ppt_negative",
 ]
 
-_FLIP_SIGN = np.outer([-1.0, 1.0, 1.0, -1.0], [-1.0, 1.0, 1.0, -1.0])
+# the signs of Y x Y, row by row
+_FLIP = (-1.0, 1.0, 1.0, -1.0)
+_FLIP_SIGN = np.outer(_FLIP, _FLIP)
 _CHUNK = 8192
 
 # _certified_separable: half-width of the band relative to ||rho||_F^4, and
@@ -166,17 +195,84 @@ def _partial_transpose(rhos):
     return np.swapaxes(split, -3, -1).reshape(shape)
 
 
-def _sqrt_psd_stack(rhos):
+# states without a factor leave NaN and inf in L and tau, which are not used
+@np.errstate(invalid="ignore", divide="ignore", over="ignore")
+def _cholesky(rhos):
+    """Lower Cholesky factor (rho = L L^H) of each state of a (n, 4, 4) stack.
+
+    Returns L and a mask.  L[i, j] (i >= j) is a pair of (n,) arrays, the
+    real and imaginary parts of that entry; the diagonal is real.  The mask
+    marks the states whose four pivots are all > 0 (a NaN pivot fails); the
+    factors of the others are not used.
+    """
+    zero = np.zeros(len(rhos))
+    ok = np.ones(len(rhos), dtype=bool)
+    L = {}
+    for j in range(4):
+        pivot = rhos.real[:, j, j].copy()
+        for k in range(j):
+            x, y = L[j, k]
+            pivot -= x * x + y * y
+        ok &= pivot > 0.0
+        root = np.sqrt(pivot)
+        L[j, j] = root, zero
+        for i in range(j + 1, 4):
+            # rho[i, j] - sum_k L[i, k] conj(L[j, k])
+            x, y = rhos.real[:, i, j].copy(), rhos.imag[:, i, j].copy()
+            for k in range(j):
+                (a, b), (c, e) = L[i, k], L[j, k]
+                x -= a * c + b * e
+                y -= b * c - a * e
+            L[i, j] = x / root, y / root
+    return L, ok
+
+
+@np.errstate(invalid="ignore", over="ignore")
+def _factor_gram(L):
+    """tau^H tau for tau = L^T (Y x Y) L, lower triangle, as a (n, 4, 4) stack."""
+    # tau[i, j] = sum_k s_k L[k, i] L[3 - k, j] is symmetric, and 0 for i + j > 3
+    tau = {}
+    for i in range(4):
+        for j in range(i, 4 - i):
+            re = im = 0.0
+            for k in range(i, 4 - j):
+                (a, b), (c, e) = L[k, i], L[3 - k, j]
+                re = re + _FLIP[k] * (a * c - b * e)
+                im = im + _FLIP[k] * (a * e + b * c)
+            tau[i, j] = tau[j, i] = re, im
+    H = np.zeros((len(L[0, 0][0]), 4, 4), dtype=complex)
+    for i in range(4):
+        for j in range(i + 1):
+            # sum_k conj(tau[k, i]) tau[k, j], over the k where tau[k, i] != 0
+            re = im = 0.0
+            for k in range(4 - i):
+                (a, b), (c, e) = tau[k, i], tau[k, j]
+                re = re + (a * c + b * e)
+                im = im + (a * e - b * c)
+            H.real[:, i, j] = re
+            H.imag[:, i, j] = im
+    return H
+
+
+def _mu_eigh(rhos):
+    """Eigenvalues of sqrt(rho) rho_tilde sqrt(rho), for states without a Cholesky factor."""
     w, V = np.linalg.eigh(rhos)
-    w = np.sqrt(np.clip(w, 0.0, None))
-    return (V * w[..., None, :]) @ np.swapaxes(V.conj(), -1, -2)
+    rt = (V * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ np.swapaxes(V.conj(), -1, -2)
+    M = rt @ spin_flip(rhos) @ rt
+    return np.linalg.eigvalsh(0.5 * (M + np.swapaxes(M.conj(), -1, -2)))
 
 
 def _lambdas_stack(rhos):
-    rt = _sqrt_psd_stack(rhos)
-    M = rt @ spin_flip(rhos) @ rt
-    M = 0.5 * (M + np.swapaxes(M.conj(), -1, -2))
-    mu = np.linalg.eigvalsh(M)
+    """Decreasing Wootters roots l_i of a (n, 4, 4) stack; NaN for a non-finite state."""
+    finite = np.isfinite(rhos).all(axis=(1, 2))
+    L, ok = _cholesky(rhos)
+    H = _factor_gram(L)
+    ok &= finite
+    mu = np.full(rhos.shape[:-1], np.nan)
+    mu[ok] = np.linalg.eigvalsh(H[ok])
+    rest = finite & ~ok
+    if rest.any():
+        mu[rest] = _mu_eigh(rhos[rest])
     lam = np.sqrt(np.clip(mu, 0.0, None))
     return lam[..., ::-1]
 
@@ -216,7 +312,8 @@ def concurrence_series(rhos):
     """Concurrence of a (..., 4, 4) stack of density matrices.
 
     Inputs are trusted (no validation); intended for evolved series where
-    the construction guarantees the density matrix invariants.
+    the construction guarantees the density matrix invariants.  A state
+    with a non-finite entry that the screen passes scores NaN.
     """
     rhos = np.asarray(rhos, dtype=complex)
     flat = rhos.reshape(-1, 4, 4)
@@ -252,11 +349,13 @@ def x_state_concurrence(p1, p2, v1, v2, gamma_l=0.0):
     result is max(0, -2 [sqrt(p1(1-p1)p2(1-p2)) - |v1||v2| e^{-2 gamma_l}]),
     which the positivity constraint |v|^2 <= p(1-p) pins at zero.
     """
-    if gamma_l < 0:
-        raise ValidationError("gamma_l must be >= 0")
+    if not 0.0 <= gamma_l < np.inf:
+        raise ValidationError("gamma_l must be finite and >= 0, got %r" % (gamma_l,))
     for p, v in ((p1, v1), (p2, v2)):
         if not (0.0 <= p <= 1.0):
             raise ValidationError("population out of range")
+        if not np.isfinite(v):
+            raise ValidationError("coherence must be finite, got %r" % (v,))
         if abs(v) ** 2 > p * (1.0 - p) + 1e-12:
             raise ValidationError("|v|^2 <= p(1-p) violated")
     root = np.sqrt(p1 * (1.0 - p1) * p2 * (1.0 - p2))
@@ -265,6 +364,9 @@ def x_state_concurrence(p1, p2, v1, v2, gamma_l=0.0):
 
 def ppt_negative(rho, tol=-1e-10):
     """True iff the partial transpose over the second qubit is negative."""
-    pt = _partial_transpose(np.asarray(rho, dtype=complex))
+    rho = np.asarray(rho, dtype=complex)
+    if not np.all(np.isfinite(rho)):
+        raise ValidationError("density matrix has non-finite entries")
+    pt = _partial_transpose(rho)
     w = np.linalg.eigvalsh(0.5 * (pt + pt.conj().T))
     return bool(w.min() < tol)

@@ -32,8 +32,8 @@ from .dynamics import (
     _evolution_factors,
     _factor_matrix,
 )
-from .entanglement import _certified_separable, concurrence, concurrence_series
-from .errors import FitError, ValidationError
+from .entanglement import _certified_separable, _partial_transpose, concurrence, concurrence_series
+from .errors import FitError, NumericalError, ValidationError
 
 __all__ = [
     "TimeSeries",
@@ -381,8 +381,10 @@ def grid_pv(
     in blocks of times with about 2e5 pairs each.  Only the pairs whose
     separability is not certified are formed, rho = cell * F(t), and
     scored by concurrence_series; a certified pair scores 0, as it would
-    there.  On the N = 40 corner grid about 18% of the pairs are formed,
-    most of them in the pure-spin row and column (p = 0).
+    there.  A cell with a spin at p = 0 or 1 and v = 0 is not screened at
+    all: its rho0^{T_B} has a zero row, which every finite F keeps, so
+    det(rho^{T_B}) is exactly 0 and concurrence_series would score 0.  On
+    the N = 40 corner grid 4018 of the 484 000 pairs are formed.
     """
     bath = bath if bath is not None else BathConfig()
     values1 = [float(x) for x in values1]
@@ -432,16 +434,21 @@ def grid_pv(
         cols = ("p1", "p2", "c_max", "clipped")
     else:
         raise ValidationError("unknown grid_pv mode %r" % (mode,))
+    if not np.all(np.isfinite(F)):
+        raise NumericalError("evolution produced non-finite factors")
     keys = [(a, b) for a in values1 for b in values2]
     spins1, spins2, flags = zip(*(cell(a, b) for a, b in keys))
     cells = _product_states(spins1, spins2)
+    # cells whose rho0^{T_B} has no zero row; the others score exactly 0
+    live = np.flatnonzero(~np.all(_partial_transpose(cells) == 0.0, axis=2).any(axis=1))
     # a block of times holds about 2e5 (cell, time) pairs
     block = max(1, int(2e5 / len(cells)))
     cmax = np.zeros(len(cells))
+    cells = cells[live]
     for start in range(0, F.shape[0], block):
         Fb = F[start : start + block]
         t, c = np.nonzero(~_certified_separable(cells, Fb))
-        np.maximum.at(cmax, c, concurrence_series(cells[c] * Fb[t]))
+        np.maximum.at(cmax, live[c], concurrence_series(cells[c] * Fb[t]))
     rows = [key + (float(c), int(f)) for key, c, f in zip(keys, cmax, flags)]
     feasible = [r for r in rows if not r[3]]
     if feasible:

@@ -547,6 +547,14 @@ class TestValidateState:
         with pytest.raises(ValidationError):
             validate_two_qubit(rho)
 
+    @pytest.mark.parametrize("entry,value", [((0, 0), math.nan), ((1, 2), math.nan), ((3, 3), math.inf)])
+    def test_rejects_nonfinite(self, entry, value):
+        # a NaN passes the Hermiticity and trace comparisons
+        rho = np.eye(4, dtype=complex) / 4.0
+        rho[entry] = value
+        with pytest.raises(ValidationError, match="non-finite"):
+            validate_two_qubit(rho)
+
 
 class TestCouplingConfig:
     def test_effective_coupling(self):

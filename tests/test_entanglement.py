@@ -4,6 +4,7 @@ import cmath
 import math
 
 from hypothesis import assume, given, settings, strategies as st
+import mpmath
 import numpy as np
 import pytest
 
@@ -11,6 +12,7 @@ from dephasim import (
     BathConfig,
     CouplingConfig,
     EnsembleConfig,
+    NumericalError,
     SpinInit,
     ValidationError,
     concurrence,
@@ -29,7 +31,9 @@ from dephasim.dynamics import _evolution_factors, _factor_matrix
 from dephasim.entanglement import (
     _SIGN,
     _certified_separable,
+    _cholesky,
     _lambdas_stack,
+    _mu_eigh,
     _partial_transpose,
     _pt_terms,
 )
@@ -196,6 +200,14 @@ class TestConcurrence:
             assert res.value == concurrence_series(rho[None])[0]
             assert (res.value > 0.0) == entangled
 
+    def test_nonfinite_state(self):
+        rho = np.eye(4, dtype=complex) / 4.0
+        rho[0, 3] = rho[3, 0] = math.nan
+        with pytest.raises(ValidationError):
+            concurrence(rho)
+        with pytest.raises(NumericalError):
+            concurrence(rho, validate=False)
+
     def test_spin_flip_involution(self):
         rng = np.random.default_rng(21)
         rho = _random_density(rng)
@@ -216,6 +228,99 @@ class TestScreen:
         np.testing.assert_array_equal(got[kept], want[kept])
         assert np.all(got[~kept] == 0.0)
         assert want[~kept].max() <= 2e-8
+
+
+def _roots(mu):
+    return np.sqrt(np.clip(mu, 0.0, None))[:, ::-1]
+
+
+def _symmetric_pure_states():
+    # the clipped (pure-spin) cells of the 51 x 51 symmetric grid at the
+    # default knobs that pass the det screen: the rank-deficient states that
+    # grid sends to the kernel
+    axis = [(p, v) for p in np.linspace(0.0, 1.0, 51) for v in np.linspace(0.0, 0.5, 51)]
+    spins = [SpinInit(p=p, v=_clip_v(p, v)[0]) for p, v in axis if _clip_v(p, v)[1]]
+    rhos = _product_states(spins, spins) * _factor_matrix(math.pi / 2.0, 0.0, 0.0)
+    return rhos[~(_pt_det(rhos) >= 0.0)]
+
+
+def _mp_concurrence(rho):
+    # 30 digits: the eigenvalues of rho rho_tilde, taking the stored rho as exact
+    with mpmath.workdps(30):
+        R = mpmath.matrix([[mpmath.mpc(x.real, x.imag) for x in row] for row in rho])
+        YY = mpmath.matrix(_YY.real.tolist())
+        ev = mpmath.eig(R * (YY * R.conjugate() * YY), left=False, right=False)
+        lam = sorted((mpmath.sqrt(max(mpmath.re(e), 0)) for e in ev), reverse=True)
+        return float(max(0, lam[0] - lam[1] - lam[2] - lam[3]))
+
+
+class TestKernel:
+    """The Wootters kernel: Cholesky route, eigh route and their routing."""
+
+    def test_lambdas_independent_of_stack(self):
+        # a state's lambdas are the same bits alone, in a short stack, and
+        # shuffled into a long one beside rank-deficient, separable and NaN
+        # states.  numpy's SIMD loops handle the head of an array by its
+        # alignment, and a long stack's arrays are allocated apart from a
+        # short one's: a Cholesky in complex arithmetic fails here.
+        rng = np.random.default_rng(23)
+        corner = _corner_slice()
+        states = np.concatenate([
+            np.stack([_random_density(rng) for _ in range(40)]),
+            corner[~(_pt_det(corner) >= 0.0)],
+            np.stack([_bell(), initial_two_qubit(SpinInit(p=0.0), SpinInit(p=0.3, v=0.2))]),
+        ])
+        ok = _cholesky(states)[1]
+        assert ok.sum() > 400 and not ok.all()
+        alone = np.array([_lambdas_stack(rho[None])[0] for rho in states])
+        np.testing.assert_array_equal(_lambdas_stack(states), alone)
+        nan = np.eye(4, dtype=complex) / 4.0
+        nan[1, 2] = math.nan
+        stack = np.concatenate([states, corner, nan[None]])
+        order = rng.permutation(len(stack))
+        lam = np.empty((len(stack), 4))
+        lam[order] = _lambdas_stack(stack[order])
+        np.testing.assert_array_equal(lam[: len(states)], alone)
+        assert np.all(np.isnan(lam[-1]))
+
+    def test_routes_agree_on_full_rank(self):
+        # every eigenvalue of these states is >= 0.025
+        rng = np.random.default_rng(29)
+        rhos = np.stack([0.9 * _random_density(rng) + 0.025 * np.eye(4) for _ in range(200)])
+        assert _cholesky(rhos)[1].all()
+        np.testing.assert_allclose(_lambdas_stack(rhos), _roots(_mu_eigh(rhos)), rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("states", [
+        lambda: _bell()[None],
+        lambda: _corner_slice()[:4000],  # the cell p2 = 0 beside the pure spin p1 = 1/2
+        _symmetric_pure_states,
+    ], ids=["bell", "corner-p0", "symmetric-pure"])
+    def test_rank_deficient_take_eigh_route(self, states):
+        rhos = states()
+        ok = _cholesky(rhos)[1]
+        # round-off leaves a few pure-spin states of the symmetric grid a tiny
+        # positive pivot; a state with an exact zero pivot never factors
+        assert ok.mean() < 0.1
+        np.testing.assert_array_equal(_lambdas_stack(rhos)[~ok], _roots(_mu_eigh(rhos[~ok])))
+
+    def test_against_30_digits(self):
+        rng = np.random.default_rng(31)
+        generic = [_random_density(rng) for _ in range(3)]
+        # a pure-spin cell of the symmetric grid (p = 0.56, |v| clipped to
+        # 0.496) that the eigh route scored 1.8e-8 too low, C = 0.9856
+        s = SpinInit(p=0.56, v=_clip_v(0.56, 0.5)[0])
+        pure = initial_two_qubit(s, s) * _factor_matrix(math.pi / 2.0, 0.0, 0.0)
+        exact = generic + [pure]
+        assert _cholesky(np.stack(exact))[1].all()
+        # near-rank-1 corner states (p1 = p2 = 1/2), one per route: the roots
+        # of round-off in the small eigenvalues leave errors near 1e-8 on both
+        corner = _corner_slice()[[43988, 41572]]
+        np.testing.assert_array_equal(_cholesky(corner)[1], [True, False])
+        for rhos, tol in ((np.stack(exact), 1e-14), (corner, 1e-8)):
+            got = concurrence_series(rhos)
+            want = [_mp_concurrence(rho) for rho in rhos]
+            assert min(want) > 0.0
+            np.testing.assert_allclose(got, want, rtol=0, atol=tol)
 
 
 def _corner_pairs():
@@ -409,6 +514,16 @@ class TestXState:
         with pytest.raises(ValidationError):
             x_state_concurrence(0.5, 0.5, 0.1, 0.1, gamma_l=-0.2)
 
+    @pytest.mark.parametrize("v1,v2,gamma_l", [
+        (math.nan, 0.1, 0.0),
+        (0.1, complex(0.1, math.nan), 0.0),
+        (0.1, 0.1, math.nan),
+        (0.1, 0.1, math.inf),
+    ])
+    def test_rejects_nonfinite(self, v1, v2, gamma_l):
+        with pytest.raises(ValidationError):
+            x_state_concurrence(0.5, 0.5, v1, v2, gamma_l=gamma_l)
+
 
 def _t_for_gamma(g, bath):
     # invert kappa_l^2 Gamma(t) = g for kappa_l = 1 on a lookup grid
@@ -428,6 +543,12 @@ class TestPPT:
     def test_product_not_detected(self):
         spin = SpinInit(p=0.3, v=0.2)
         assert not ppt_negative(initial_two_qubit(spin, spin))
+
+    def test_rejects_nonfinite(self):
+        rho = np.eye(4, dtype=complex) / 4.0
+        rho[1, 1] = math.nan
+        with pytest.raises(ValidationError):
+            ppt_negative(rho)
 
     def test_sign_agreement_on_evolved_states(self):
         # Wootters and the transpose witness must agree away from the boundary

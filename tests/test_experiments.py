@@ -10,6 +10,7 @@ from dephasim import (
     CouplingConfig,
     EnsembleConfig,
     FitError,
+    NumericalError,
     SpinInit,
     TimeSeries,
     ValidationError,
@@ -317,6 +318,39 @@ class TestGridPV:
             want[start : start + block] = concurrence_series(sub).max(axis=1)
         np.testing.assert_array_equal(res.column("c_max"), want)
         assert want.max() > 0.0
+
+    def test_zero_row_cells_not_formed(self, monkeypatch, bath):
+        # a spin at p = 0 (v = 0) zeroes a row of rho0^{T_B}: such cells
+        # score exactly 0 without forming a state
+        formed = []
+
+        def spy(rhos):
+            formed.append(rhos)
+            return concurrence_series(rhos)
+
+        monkeypatch.setattr(experiments, "concurrence_series", spy)
+        vals = np.linspace(0.0, 0.5, 6)
+        res = grid_pv(vals, vals, mode="dynamic-corner", cfg=CouplingConfig(kappa_c=0.05, N=8),
+                      bath=bath)
+        rhos = np.concatenate(formed)
+        assert len(rhos) and not np.any(np.all(rhos == 0.0, axis=2))
+        c = np.array(res.column("c_max"))
+        assert np.all(c[(np.array(res.column("p1")) == 0.0) | (np.array(res.column("p2")) == 0.0)] == 0.0)
+        assert c.max() > 0.0
+
+    def test_nonfinite_factors_rejected(self, monkeypatch, bath):
+        factors = experiments._evolution_factors
+
+        def broken(*args, **kwargs):
+            F = factors(*args, **kwargs)
+            F[3, 0, 3] = F[3, 3, 0] = math.nan
+            return F
+
+        monkeypatch.setattr(experiments, "_evolution_factors", broken)
+        vals = np.linspace(0.0, 0.5, 3)
+        with pytest.raises(NumericalError):
+            grid_pv(vals, vals, mode="dynamic-corner", cfg=CouplingConfig(kappa_c=0.05, N=8),
+                    bath=bath, steps=50)
 
     def test_product_states_match_kron(self):
         spins = [SpinInit(p=0.0), SpinInit(p=1.0), SpinInit(p=0.3, v=0.2),
