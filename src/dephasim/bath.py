@@ -9,9 +9,11 @@ temperature as beta = 1/theta.  The coupling form factor is
 
 isotropic with a sharp cutoff at the wavenumber k_c = epsilon * theta,
 where epsilon = nu_c / nu_T is the ratio of cutoff to thermal frequency.
-The three dimensional mode sum is reduced over angles to a radial integral
-in omega = |k|, with the solid angle absorbed into the coupling constants,
-so that a bath with f as above contributes per unit coupling squared
+It is the only form factor, so BathConfig holds just epsilon and theta
+and derives k_c from them.  The three dimensional mode sum is reduced
+over angles to a radial integral in omega = |k|, with the solid angle
+absorbed into the coupling constants, so that a bath with f as above
+contributes per unit coupling squared
 
     S(t)     = -(1/2) * int_0^{k_c} omega * (omega t - sin(omega t)) domega
     Gamma(t) = int_0^{k_c} omega * coth(beta omega / 2) * sin^2(omega t / 2) domega.
@@ -113,34 +115,25 @@ class BathConfig:
         Ratio nu_c / nu_T of cutoff to thermal frequency.
     theta : float
         Dimensionless temperature k_B T / (hbar omega_0).
-    k_c : float, optional
-        Cutoff wavenumber.  Derived as epsilon * theta when omitted; if
-        given it must satisfy that identity to 1e-12 relative.
-    form_factor : str
-        Only "sqrt-cutoff" is supported.
+
+    The cutoff wavenumber k_c = epsilon * theta is derived, not stored,
+    so dataclasses.replace on either field moves it too.
     """
 
     epsilon: float = 1.0
     theta: float = 1.0
-    k_c: float = None
-    form_factor: str = "sqrt-cutoff"
 
     def __post_init__(self):
-        derived = self.epsilon * self.theta
-        if not all(0 < v < math.inf for v in (self.epsilon, self.theta, derived)):
+        if not all(0 < v < math.inf for v in (self.epsilon, self.theta, self.k_c)):
             raise ValidationError(
                 "epsilon, theta and epsilon*theta must be positive and finite, got %r, %r and %r"
-                % (self.epsilon, self.theta, derived)
+                % (self.epsilon, self.theta, self.k_c)
             )
-        if self.k_c is None:
-            object.__setattr__(self, "k_c", derived)
-        elif not (0 < self.k_c < math.inf) or abs(self.k_c - derived) > 1e-12 * derived:
-            raise ValidationError(
-                "k_c must be finite and equal epsilon*theta (= %.17g), got %r"
-                % (derived, self.k_c)
-            )
-        if self.form_factor != "sqrt-cutoff":
-            raise ValidationError("unsupported form factor %r" % (self.form_factor,))
+
+    @property
+    def k_c(self):
+        """Cutoff wavenumber epsilon * theta."""
+        return self.epsilon * self.theta
 
     @property
     def beta(self):

@@ -52,7 +52,6 @@ _COMMON_STATE = {
 _COMMON_GRID = {
     "tau_max": ("float", 2.0 * _PI, "rescaled time window"),
     "steps": ("maybe_int", None, "grid points (default: auto resolution)"),
-    "frame": ("choice:interaction,lab", "interaction", "evolution frame"),
 }
 _COMMON_OUT = {
     "output": ("str", "-", "output path, - for stdout"),
@@ -127,6 +126,9 @@ _SCHEMAS = {
     },
 }
 
+# a sweep sets the value it sweeps at each point, so it takes none
+del _SCHEMAS["sweep-kappa"]["kappa_c"], _SCHEMAS["sweep-eta"]["eta"]
+
 _REQUIRED = {"fit": ("input",)}
 
 
@@ -195,7 +197,8 @@ def _build_parser():
     parser.add_argument("--version", action="version", version="dephasim %s" % __version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, schema in _SCHEMAS.items():
-        sp = sub.add_parser(name, prog="dephasim %s" % name)
+        # no prefix matching: sweep-eta --eta must not mean --eta-values
+        sp = sub.add_parser(name, prog="dephasim %s" % name, allow_abbrev=False)
         sp.add_argument("--config", default=None, help="key = value file; flags win")
         for key, (_tag, _default, help_text) in schema.items():
             sp.add_argument(
@@ -361,19 +364,17 @@ def _run_timeseries(vals):
         t_max=vals["t_max"],
         steps=vals["steps"],
         tau_max=vals["tau_max"],
-        frame=vals["frame"],
     )
     data = (ts.t, ts.tau, ts.concurrence, ts.abs_p_n, ts.S, ts.gamma_l, ts.gamma_c)
     return ts.columns, data, _info_from(ts.meta)
 
 
 def _run_sweep_kappa(vals):
-    cfg = CouplingConfig(
-        kappa_c=vals["kappa_c"], kappa_l=vals["kappa_l"], eta=vals["eta"], N=vals["n"]
-    )
+    # each point replaces kappa_c
+    cfg = CouplingConfig(kappa_c=0.0, kappa_l=vals["kappa_l"], eta=vals["eta"], N=vals["n"])
     res = sweep_kappa(
         vals["kappa_values"], cfg, _ensemble(vals), _bath(vals),
-        tau_max=vals["tau_max"], steps=vals["steps"], frame=vals["frame"],
+        tau_max=vals["tau_max"], steps=vals["steps"],
     )
     return _table(res)
 
@@ -388,16 +389,17 @@ def _run_sweep_n(vals):
     cfg = CouplingConfig(kappa_c=vals["kappa_c"], kappa_l=vals["kappa_l"], eta=vals["eta"], N=2)
     res = sweep_N(
         _n_list(vals), cfg, _ensemble(vals), _bath(vals),
-        tau_max=vals["tau_max"], steps=vals["steps"], frame=vals["frame"],
+        tau_max=vals["tau_max"], steps=vals["steps"],
     )
     return _table(res)
 
 
 def _run_sweep_eta(vals):
-    cfg = CouplingConfig(kappa_c=vals["kappa_c"], kappa_l=vals["kappa_l"], eta=0.0, N=2)
+    # each point replaces eta and N
+    cfg = CouplingConfig(kappa_c=vals["kappa_c"], kappa_l=vals["kappa_l"], N=2)
     res = sweep_eta(
         vals["eta_values"], _n_list(vals), cfg, _ensemble(vals), _bath(vals),
-        tau_max=vals["tau_max"], steps=vals["steps"], frame=vals["frame"],
+        tau_max=vals["tau_max"], steps=vals["steps"],
     )
     return _table(res)
 

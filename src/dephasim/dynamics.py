@@ -55,6 +55,9 @@ __all__ = [
 ]
 
 _CONSTRAINT_TOL = 1e-12
+# largest Hermiticity, trace or negative-eigenvalue error of a valid state;
+# ppt_negative takes a partial transpose as negative below -_STATE_TOL
+_STATE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -106,6 +109,15 @@ class CouplingConfig:
         if not isinstance(self.N, numbers.Integral) or self.N < 2:
             raise ValidationError("N must be an integer >= 2")
         object.__setattr__(self, "N", int(self.N))
+        if not all(math.isfinite(k * k) for k in (self.kappa_c, self.kappa_l)):
+            raise ValidationError(
+                "kappa_c^2 and kappa_l^2 must be finite, got %r, %r" % (self.kappa_c, self.kappa_l)
+            )
+        try:
+            self.N**self.eta
+        except OverflowError:
+            msg = "N^eta must be finite, got N = %d, eta = %r" % (self.N, self.eta)
+            raise ValidationError(msg) from None
 
     @property
     def effective_kappa_c(self):
@@ -317,18 +329,18 @@ def t_of_tau(tau, cfg, bath=None):
     return np.asarray(tau, dtype=float) / scale
 
 
-def validate_two_qubit(rho, herm_tol=1e-10, trace_tol=1e-10, psd_tol=-1e-10):
-    """Check Hermiticity, unit trace and positivity; raise on failure."""
+def validate_two_qubit(rho):
+    """Check Hermiticity, unit trace and positivity to _STATE_TOL; raise on failure."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise ValidationError("expected a 4x4 density matrix, got shape %r" % (rho.shape,))
     if not np.all(np.isfinite(rho)):
         raise ValidationError("density matrix has non-finite entries")
-    if np.max(np.abs(rho - rho.conj().T)) > herm_tol:
+    if np.max(np.abs(rho - rho.conj().T)) > _STATE_TOL:
         raise ValidationError("density matrix is not Hermitian within tolerance")
-    if abs(np.trace(rho).real - 1.0) > trace_tol or abs(np.trace(rho).imag) > trace_tol:
+    if abs(np.trace(rho).real - 1.0) > _STATE_TOL or abs(np.trace(rho).imag) > _STATE_TOL:
         raise ValidationError("density matrix trace differs from 1")
     w = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
-    if w.min() < psd_tol:
+    if w.min() < -_STATE_TOL:
         raise ValidationError("density matrix has a negative eigenvalue %g" % w.min())
     return rho

@@ -121,7 +121,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import validate_two_qubit
+from .dynamics import _STATE_TOL, SpinInit, validate_two_qubit
 from .errors import NumericalError, ValidationError
 
 __all__ = [
@@ -332,7 +332,7 @@ def concurrence(rho, validate=True):
     """Concurrence of a single two-qubit density matrix."""
     rho = np.asarray(rho, dtype=complex)
     if validate:
-        validate_two_qubit(rho, psd_tol=-1e-10)
+        validate_two_qubit(rho)
     lam = _lambdas_stack(rho[None, :, :])[0]
     if not np.all(np.isfinite(lam)):
         raise NumericalError("concurrence eigenvalue computation failed")
@@ -347,26 +347,22 @@ def x_state_concurrence(p1, p2, v1, v2, gamma_l=0.0):
 
     gamma_l is the accumulated local exponent kappa_l^2 Gamma_l(t).  The
     result is max(0, -2 [sqrt(p1(1-p1)p2(1-p2)) - |v1||v2| e^{-2 gamma_l}]),
-    which the positivity constraint |v|^2 <= p(1-p) pins at zero.
+    which the positivity constraint |v|^2 <= p(1-p), checked by SpinInit,
+    pins at zero.
     """
     if not 0.0 <= gamma_l < np.inf:
         raise ValidationError("gamma_l must be finite and >= 0, got %r" % (gamma_l,))
-    for p, v in ((p1, v1), (p2, v2)):
-        if not (0.0 <= p <= 1.0):
-            raise ValidationError("population out of range")
-        if not np.isfinite(v):
-            raise ValidationError("coherence must be finite, got %r" % (v,))
-        if abs(v) ** 2 > p * (1.0 - p) + 1e-12:
-            raise ValidationError("|v|^2 <= p(1-p) violated")
+    SpinInit(p1, v1)
+    SpinInit(p2, v2)
     root = np.sqrt(p1 * (1.0 - p1) * p2 * (1.0 - p2))
     return max(0.0, -2.0 * (root - abs(v1) * abs(v2) * np.exp(-2.0 * gamma_l)))
 
 
-def ppt_negative(rho, tol=-1e-10):
-    """True iff the partial transpose over the second qubit is negative."""
+def ppt_negative(rho):
+    """True iff the partial transpose over the second qubit has an eigenvalue below -_STATE_TOL."""
     rho = np.asarray(rho, dtype=complex)
     if not np.all(np.isfinite(rho)):
         raise ValidationError("density matrix has non-finite entries")
     pt = _partial_transpose(rho)
     w = np.linalg.eigvalsh(0.5 * (pt + pt.conj().T))
-    return bool(w.min() < tol)
+    return bool(w.min() < -_STATE_TOL)

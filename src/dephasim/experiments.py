@@ -7,13 +7,17 @@ configuration.  Each driver returns an immutable table sorted by its
 sweep key; sweep points are evaluated one after another, in input order,
 on the calling thread.  numpy's batched eigh, eigvalsh and det hold the
 interpreter lock, so a thread pool over points bought no wall time and
-cost CPU.  DEPHASIM_THREADS is still read and validated, so a malformed
-value is an error, but it no longer changes anything.
+cost CPU.
+
+The drivers evolve in the interaction frame.  Concurrence is invariant
+under local unitaries (Wootters, PRL 80, 2245 (1998)), and the lab
+frame's free phases e^{i w t} are local, so no statistic here depends
+on the frame; dynamics.evolve and evolve_series keep it for callers
+that want the states themselves.
 """
 
 from dataclasses import dataclass, replace
 import math
-import os
 
 import numpy as np
 
@@ -51,7 +55,6 @@ __all__ = [
     "limits_compare",
     "fit_exponential",
     "relative_spread",
-    "worker_count",
 ]
 
 TAU_WINDOW = 2.0 * math.pi
@@ -60,22 +63,6 @@ COLLAPSE_PERSISTENCE = 10
 SIGNIFICANCE_FLOOR = 1e-4
 DEFAULT_STEPS = 4000
 MAX_AUTO_STEPS = 20000
-
-
-def worker_count():
-    """Validated DEPHASIM_THREADS; 0 or unset means cpu count.
-
-    Sweeps call it so that a malformed value is still rejected; they run
-    on one thread whatever it returns.
-    """
-    raw = os.environ.get("DEPHASIM_THREADS", "0").strip()
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValidationError("DEPHASIM_THREADS must be an integer, got %r" % (raw,))
-    if n < 0:
-        raise ValidationError("DEPHASIM_THREADS must be >= 0")
-    return n if n > 0 else (os.cpu_count() or 1)
 
 
 @dataclass(frozen=True)
@@ -150,6 +137,8 @@ def _resolve_grid(cfg, bath, t_max, steps, tau_max, meta):
         t_max = window / (ke2 * bath.nu_c)
     if not 0 < t_max < math.inf:
         raise ValidationError("t_max must be positive and finite, got %r" % (t_max,))
+    if not math.isfinite(ke2 * bath.nu_c * t_max):
+        raise ValidationError("the rescaled window of t_max = %r is not finite" % (t_max,))
     if steps is None:
         steps = DEFAULT_STEPS
         if ke2 > 0:
@@ -174,7 +163,7 @@ def _resolve_grid(cfg, bath, t_max, steps, tau_max, meta):
     return t
 
 
-def time_series(cfg, ens, bath=None, t_max=None, steps=None, tau_max=None, frame="interaction", grid=None):
+def time_series(cfg, ens, bath=None, t_max=None, steps=None, tau_max=None, grid=None):
     """Evolve and score concurrence on a uniform time grid.
 
     Passing a precomputed DephasingGrid reuses its S and Gamma across
@@ -189,7 +178,6 @@ def time_series(cfg, ens, bath=None, t_max=None, steps=None, tau_max=None, frame
         "n": cfg.N,
         "epsilon": bath.epsilon,
         "theta": bath.theta,
-        "frame": frame,
         "warnings": [],
     }
     if grid is None:
@@ -197,7 +185,7 @@ def time_series(cfg, ens, bath=None, t_max=None, steps=None, tau_max=None, frame
         grid = dephasing_grid(t, bath)
     rho0 = initial_two_qubit(ens.spin1, ens.spin2)
     P = _background_from_S(grid.S, cfg, ens)
-    rhos = evolve_series(rho0, grid, cfg, ens, frame=frame, p_n=P)
+    rhos = evolve_series(rho0, grid, cfg, ens, p_n=P)
     C = concurrence_series(rhos)
     absP = np.abs(P)
     tau = tau_of_t(grid.t, cfg, bath)
@@ -228,29 +216,30 @@ def peak_concurrence(series):
     )
 
 
-def collapse_time(series, floor=COLLAPSE_FLOOR, persistence=COLLAPSE_PERSISTENCE):
-    """First rescaled time where concurrence stays below floor.
+def collapse_time(series):
+    """First rescaled time where concurrence stays below COLLAPSE_FLOOR.
 
-    The series must first rise above floor; the collapse point is the
-    first grid point of the earliest run of >= persistence consecutive
-    sub-floor values after that rise.
+    The series must first rise above the floor; the collapse point is the
+    first grid point of the earliest run of >= COLLAPSE_PERSISTENCE
+    consecutive sub-floor values after that rise.
     """
     C = series.concurrence
-    above = C > floor
+    above = C > COLLAPSE_FLOOR
     if not np.any(above):
         return CollapseResult(tau_c=math.nan, status="no-entanglement")
     rise = int(np.argmax(above))
     below = (~above)[rise + 1 :]
-    if below.size >= persistence:
-        runs = np.convolve(below.astype(int), np.ones(persistence, dtype=int), mode="valid")
-        hits = np.nonzero(runs == persistence)[0]
+    if below.size >= COLLAPSE_PERSISTENCE:
+        window = np.ones(COLLAPSE_PERSISTENCE, dtype=int)
+        runs = np.convolve(below.astype(int), window, mode="valid")
+        hits = np.nonzero(runs == COLLAPSE_PERSISTENCE)[0]
         if hits.size:
             i = rise + 1 + int(hits[0])
             return CollapseResult(tau_c=float(series.tau[i]), status="ok")
     return CollapseResult(tau_c=math.nan, status="no-collapse")
 
 
-def _sweep(points, key_columns, meta, ens, bath, tau_max, steps, frame, grid=None):
+def _sweep(points, key_columns, meta, ens, bath, tau_max, steps, grid=None):
     """Peak and collapse statistics for each (key tuple, CouplingConfig) point.
 
     Each point resolves its own time grid unless a shared DephasingGrid
@@ -258,10 +247,9 @@ def _sweep(points, key_columns, meta, ens, bath, tau_max, steps, frame, grid=Non
     """
     if not points:
         raise ValidationError("%s has no points to sweep" % meta["experiment"])
-    worker_count()  # validated only: the points run on this thread
     rows = []
     for key, c in points:
-        series = time_series(c, ens, bath, tau_max=tau_max, steps=steps, frame=frame, grid=grid)
+        series = time_series(c, ens, bath, tau_max=tau_max, steps=steps, grid=grid)
         peak = peak_concurrence(series)
         col = collapse_time(series)
         rows.append(key + (peak.c_max, peak.tau_peak, col.tau_c, col.status))
@@ -269,7 +257,7 @@ def _sweep(points, key_columns, meta, ens, bath, tau_max, steps, frame, grid=Non
     return SweepResult(columns=columns, rows=rows, meta=meta)
 
 
-def sweep_N(n_values, cfg, ens, bath=None, tau_max=None, steps=None, frame="interaction"):
+def sweep_N(n_values, cfg, ens, bath=None, tau_max=None, steps=None):
     """Per-N peak and collapse statistics at a fixed coupling.
 
     With eta = 0 every N shares the same time grid, so S and Gamma are
@@ -294,10 +282,10 @@ def sweep_N(n_values, cfg, ens, bath=None, tau_max=None, steps=None, frame="inte
         probe = replace(cfg, N=max(n_values))
         shared = dephasing_grid(_resolve_grid(probe, bath, None, steps, tau_max, meta), bath)
     points = [((n,), replace(cfg, N=n)) for n in n_values]
-    return _sweep(points, ("n",), meta, ens, bath, tau_max, steps, frame, grid=shared)
+    return _sweep(points, ("n",), meta, ens, bath, tau_max, steps, grid=shared)
 
 
-def sweep_kappa(kappa_values, cfg, ens, bath=None, tau_max=None, steps=None, frame="interaction"):
+def sweep_kappa(kappa_values, cfg, ens, bath=None, tau_max=None, steps=None):
     """Peak and collapse statistics across collective coupling strengths."""
     bath = bath if bath is not None else BathConfig()
     kappa_values = [float(k) for k in kappa_values]
@@ -314,10 +302,10 @@ def sweep_kappa(kappa_values, cfg, ens, bath=None, tau_max=None, steps=None, fra
         "warnings": [],
     }
     points = [((k,), replace(cfg, kappa_c=k)) for k in kappa_values]
-    return _sweep(points, ("kappa_c",), meta, ens, bath, tau_max, steps, frame)
+    return _sweep(points, ("kappa_c",), meta, ens, bath, tau_max, steps)
 
 
-def sweep_eta(eta_values, n_values, cfg, ens, bath=None, tau_max=None, steps=None, frame="interaction"):
+def sweep_eta(eta_values, n_values, cfg, ens, bath=None, tau_max=None, steps=None):
     """Peak statistics across scaling exponents and spin counts."""
     bath = bath if bath is not None else BathConfig()
     eta_values = [float(e) for e in eta_values]
@@ -333,7 +321,7 @@ def sweep_eta(eta_values, n_values, cfg, ens, bath=None, tau_max=None, steps=Non
         "warnings": [],
     }
     points = [((e, n), replace(cfg, eta=e, N=n)) for e in eta_values for n in n_values]
-    return _sweep(points, ("eta", "n"), meta, ens, bath, tau_max, steps, frame)
+    return _sweep(points, ("eta", "n"), meta, ens, bath, tau_max, steps)
 
 
 def _product_states(spins1, spins2):
@@ -485,7 +473,6 @@ def limits_compare(eta, n_values, t, s1, s2, kappa_c, kappa_l=0.0, background_p=
         "warnings": [],
     }
     rho0 = initial_two_qubit(s1, s2)
-    worker_count()  # validated only: the points run on this thread
     rows = []
     for n in n_values:
         cfg = CouplingConfig(kappa_c=kappa_c, kappa_l=kappa_l, eta=eta, N=n)

@@ -328,7 +328,9 @@ class TestDeterminism:
         pkg_root = os.path.dirname(os.path.dirname(dephasim.__file__))
         inherited = os.environ.get("PYTHONPATH")
         pythonpath = pkg_root + (os.pathsep + inherited if inherited else "")
-        env = dict(os.environ, DEPHASIM_THREADS=threads, PYTHONPATH=pythonpath)
+        # the sweeps run on one thread, so OpenBLAS's pool is the only
+        # thread count the program sees
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=pythonpath)
         cmd = [sys.executable, "-m", "dephasim.cli"] + argv + ["--output", "out.csv"]
         proc = subprocess.run(cmd, cwd=outdir, env=env, capture_output=True)
         assert proc.returncode == 0, "%s exited %d:\n%s" % (
@@ -352,5 +354,5 @@ class TestDeterminism:
             one = self._cli(tmp_path, "1", name, argv)
             eight = self._cli(tmp_path, "8", name, argv)
             ok = ok and one == eight
-        _check("outputs byte-identical for 1 vs 8 threads", ok,
+        _check("outputs byte-identical for 1 vs 8 BLAS threads", ok,
                "%d sweeps compared" % len(sweeps))

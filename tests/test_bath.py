@@ -1,5 +1,6 @@
 """Oracle and property tests for the reservoir integrals."""
 
+import dataclasses
 import math
 import warnings
 
@@ -277,10 +278,12 @@ class TestConfig:
         assert bath.beta == pytest.approx(1.0 / 3.0)
         assert bath.nu_c == pytest.approx(6.0 / (2.0 * math.pi))
 
-    def test_explicit_cutoff_must_agree(self):
-        BathConfig(epsilon=1.0, theta=1.0, k_c=1.0)
-        with pytest.raises(ValidationError):
-            BathConfig(epsilon=1.0, theta=1.0, k_c=2.0)
+    def test_replace_moves_cutoff(self):
+        # k_c is derived, so replacing epsilon or theta cannot leave it stale
+        assert dataclasses.replace(BathConfig(), epsilon=2.0).k_c == 2.0
+        assert dataclasses.replace(BathConfig(epsilon=2.0), theta=3.0).k_c == 6.0
+        with pytest.raises(TypeError):
+            BathConfig(k_c=1.0)
 
     @pytest.mark.parametrize("kwargs", [
         {"epsilon": 0.0},
@@ -292,7 +295,6 @@ class TestConfig:
         {"theta": math.nan},
         {"theta": math.inf},
         {"epsilon": 1e200, "theta": 1e200},
-        {"k_c": math.inf},
     ])
     def test_rejects_nonpositive(self, kwargs):
         with pytest.raises(ValidationError):

@@ -117,6 +117,43 @@ class TestExitCodes:
         assert code == 2
         assert "finite" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["timeseries", "--kappa-c", "1e170", "--steps", "50"],
+            ["timeseries", "--kappa-l", "1e170", "--steps", "50"],
+            ["timeseries", "--eta", "2000", "--steps", "50"],
+            ["timeseries", "--t-max", "1e300", "--kappa-c", "1e150"],
+        ],
+        ids=["kappa-c-squared", "kappa-l-squared", "n-to-eta", "rescaled-window"],
+    )
+    def test_overflow_is_validation(self, capsys, argv):
+        # each overflows a Python float unless it is rejected as input
+        code, out, err = _run(capsys, argv)
+        assert code == 2 and not out
+        assert "finite" in err
+
+    @pytest.mark.parametrize(
+        "sub, key, value",
+        [(sub, "frame", "interaction")
+         for sub in ("timeseries", "sweep-kappa", "sweep-n", "grid-pv", "sweep-eta")]
+        + [("sweep-kappa", "kappa_c", "0.05"), ("sweep-eta", "eta", "0")],
+    )
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_retired_option_is_validation(self, tmp_path, capsys, sub, key, value, source):
+        # the frame leaves concurrence alone, and a sweep sets its own key
+        if source == "flag":
+            name = "--" + key.replace("_", "-")
+            argv = [sub, name, value]
+        else:
+            name = repr(key)
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("%s = %s\n" % (key, value))
+            argv = [sub, "--config", str(cfg)]
+        code, out, err = _run(capsys, argv)
+        assert code == 2 and not out
+        assert name in err
+
     @pytest.mark.parametrize("flag", ["--gamma-l-knob", "--gamma-c-knob"])
     def test_negative_gamma_knob_is_validation(self, capsys, flag):
         code, out, err = _run(capsys, ["grid-pv", flag, "-5"])
@@ -191,6 +228,55 @@ class TestExitCodes:
     def test_success(self, capsys):
         code, out, _ = _run(capsys, ["timeseries", "--steps", "4", "--tau-max", "0.5"])
         assert code == 0 and out
+
+
+class _Recording(dict):
+    """A resolved configuration that records which keys are read from it."""
+
+    def __init__(self, values):
+        super().__init__(values)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+class TestEveryOptionRead:
+    # small runs of each subcommand; grid-pv reads some keys in each mode
+    RUNS = {
+        "timeseries": [["--steps", "20"]],
+        "sweep-kappa": [["--steps", "20", "--kappa-values", "0.1"]],
+        "sweep-n": [["--steps", "20", "--n-max", "4"]],
+        "sweep-eta": [["--steps", "20", "--n-max", "6"]],
+        "grid-pv": [["--mode", "symmetric-pv", "--grid-points", "2"],
+                    ["--mode", "dynamic-corner", "--grid-points", "2", "--steps", "20",
+                     "--n", "4"]],
+        "limits": [["--n-values", "100"]],
+        "fit": [["--input", "table.csv"]],
+    }
+
+    @pytest.mark.parametrize("sub", list(cli._SCHEMAS))
+    def test_every_schema_key_is_read(self, tmp_path, monkeypatch, sub):
+        # a key that no run reads is an option that decides nothing
+        (tmp_path / "table.csv").write_text("n,c_max\n2,0.5\n4,0.25\n6,0.125\n")
+        monkeypatch.chdir(tmp_path)
+        recorded = []
+
+        def recording_parse(argv):
+            name, vals = parse_args(argv)
+            recorded.append(_Recording(vals))
+            return name, recorded[-1]
+
+        monkeypatch.setattr(cli, "parse_args", recording_parse)
+        for extra in self.RUNS[sub]:
+            assert main([sub, "--output", "out.txt"] + extra) == 0
+        read = set().union(*(vals.read for vals in recorded))
+        assert sorted(set(cli._SCHEMAS[sub]) - read) == []
 
 
 class TestCsvOutput:

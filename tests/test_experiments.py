@@ -28,7 +28,7 @@ from dephasim import (
 from dephasim import experiments
 from dephasim.dynamics import initial_two_qubit
 from dephasim.entanglement import concurrence_series
-from dephasim.experiments import COLLAPSE_FLOOR, _clip_v, _product_states, worker_count
+from dephasim.experiments import COLLAPSE_FLOOR, _clip_v, _product_states
 
 
 @pytest.fixture(scope="module")
@@ -236,17 +236,6 @@ class TestSweeps:
         with pytest.raises(ValidationError, match="no points"):
             sweep(CouplingConfig(kappa_c=0.1, N=4), std_ens, bath)
 
-    def test_determinism_across_worker_counts(self, bath, std_ens, monkeypatch):
-        cfg = CouplingConfig(kappa_c=0.1, N=4)
-        outs = []
-        for threads in ("1", "8"):
-            monkeypatch.setenv("DEPHASIM_THREADS", threads)
-            res = sweep_kappa([0.04, 0.1, 0.2, 0.4], cfg, std_ens, bath, tau_max=2.0)
-            outs.append(np.array(res.rows, dtype=object))
-        assert outs[0].shape == outs[1].shape
-        for a, b in zip(outs[0].ravel(), outs[1].ravel()):
-            assert a == b or (isinstance(a, float) and math.isnan(a) and math.isnan(b))
-
 
 class TestGridPV:
     def test_symmetric_mode(self):
@@ -417,21 +406,3 @@ class TestLimitsCompare:
             limits_compare(0.25, [100], 30.0, spin, spin, kappa_c=0.2, bath=bath)
         with pytest.raises(ValidationError):
             limits_compare(0.0, [100], 30.0, spin, spin, kappa_c=0.2, bath=bath)
-
-
-class TestWorkerCount:
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("DEPHASIM_THREADS", "3")
-        assert worker_count() == 3
-
-    def test_unset_is_positive(self, monkeypatch):
-        monkeypatch.delenv("DEPHASIM_THREADS", raising=False)
-        assert worker_count() >= 1
-
-    def test_invalid_rejected(self, monkeypatch):
-        monkeypatch.setenv("DEPHASIM_THREADS", "many")
-        with pytest.raises(ValidationError):
-            worker_count()
-        monkeypatch.setenv("DEPHASIM_THREADS", "-2")
-        with pytest.raises(ValidationError):
-            worker_count()
