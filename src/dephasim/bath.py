@@ -184,7 +184,9 @@ def _bracket(x):
         )
     )
     xb = np.where(small, 1.0, x)
-    direct = xb / 3.0 - (np.sin(xb) - xb * np.cos(xb)) / xb**2
+    # xb**2 overflows above x ~ 1.3e154, where the quotient's limit 0 is exact
+    with np.errstate(over="ignore"):
+        direct = xb / 3.0 - (np.sin(xb) - xb * np.cos(xb)) / xb**2
     return np.where(small, series, direct)
 
 
@@ -232,7 +234,9 @@ def _linear_part(x):
         acc = acc * x2 + c
     out[small] = acc * x2
     xb = x[~small]
-    out[~small] = 0.5 - (np.cos(xb) + xb * np.sin(xb) - 1.0) / (xb * xb)
+    # xb * xb overflows above x ~ 1.3e154, where the quotient's limit 0 is exact
+    with np.errstate(over="ignore"):
+        out[~small] = 0.5 - (np.cos(xb) + xb * np.sin(xb) - 1.0) / (xb * xb)
     return out
 
 

@@ -242,19 +242,21 @@ def _evolution_factors(t, S, Gamma, cfg, ens, frame, P=None):
     return F
 
 
-def evolve_series(rho0, grid, cfg, ens, frame="interaction", p_n=None):
-    """Evolve rho0 along a DephasingGrid, returning a (T, 4, 4) stack.
-
-    grid.Gamma serves both the collective and the local reservoir
-    (identical form factor and cutoff).  p_n is the background factor
-    P_N on grid.t, for a caller that already computed it; by default it
-    is computed here.
-    """
-    F = _evolution_factors(grid.t, grid.S, grid.Gamma, cfg, ens, frame, P=p_n)
+def _evolved(rho0, F):
+    """The states rho0 o F of a factor stack; raises if an entry is not finite."""
     out = rho0[None, :, :] * F
     if not np.all(np.isfinite(out)):
         raise NumericalError("evolution produced non-finite matrix entries")
     return out
+
+
+def evolve_series(rho0, grid, cfg, ens, frame="interaction"):
+    """Evolve rho0 along a DephasingGrid, returning a (T, 4, 4) stack.
+
+    grid.Gamma serves both the collective and the local reservoir
+    (identical form factor and cutoff).
+    """
+    return _evolved(rho0, _evolution_factors(grid.t, grid.S, grid.Gamma, cfg, ens, frame))
 
 
 def evolve(rho0, t, cfg, ens, bath=None, frame="interaction"):

@@ -27,16 +27,16 @@ from .dynamics import (
     EnsembleConfig,
     SpinInit,
     evolve,
-    evolve_series,
     initial_two_qubit,
     limit_state_large_eta,
     limit_state_small_eta,
     tau_of_t,
     _background_from_S,
     _evolution_factors,
+    _evolved,
     _factor_matrix,
 )
-from .entanglement import _certified_separable, _partial_transpose, concurrence, concurrence_series
+from .entanglement import _CHUNK, _certified_separable, _partial_transpose, concurrence, concurrence_series
 from .errors import FitError, NumericalError, ValidationError
 
 __all__ = [
@@ -142,12 +142,13 @@ def _resolve_grid(cfg, bath, t_max, steps, tau_max, meta):
     if steps is None:
         steps = DEFAULT_STEPS
         if ke2 > 0:
-            # resolve the P_N peak width 1/(kappa_eff^2 sqrt(N)) by >= 10 points
-            needed = int(math.ceil(10.0 * t_max * ke2 * math.sqrt(cfg.N))) + 1
-            steps = max(steps, min(needed, MAX_AUTO_STEPS))
+            # resolve the P_N peak width 1/(kappa_eff^2 sqrt(N)) by >= 10 points;
+            # a float, as the request can be infinite
+            needed = np.ceil(10.0 * t_max * ke2 * math.sqrt(cfg.N)) + 1.0
+            steps = max(steps, int(min(needed, MAX_AUTO_STEPS)))
             if needed > MAX_AUTO_STEPS:
                 meta["warnings"].append(
-                    "auto step cap reached: %d points requested, using %d"
+                    "auto step cap reached: %.0f points requested, using %d"
                     % (needed, MAX_AUTO_STEPS)
                 )
     if steps < 2:
@@ -167,7 +168,12 @@ def time_series(cfg, ens, bath=None, t_max=None, steps=None, tau_max=None, grid=
     """Evolve and score concurrence on a uniform time grid.
 
     Passing a precomputed DephasingGrid reuses its S and Gamma across
-    configurations that share the same times.
+    configurations that share the same times.  S, Gamma and P_N are
+    evaluated once for the whole grid, since they are output columns.
+    The states are formed and scored in blocks of entanglement._CHUNK
+    times, so a long series never holds its whole (T, 4, 4) stack of
+    factors or states.  Every step acts on each time alone, so each C
+    has the bits that concurrence_series(evolve_series(...)) gives it.
     """
     bath = bath if bath is not None else BathConfig()
     meta = {
@@ -185,8 +191,15 @@ def time_series(cfg, ens, bath=None, t_max=None, steps=None, tau_max=None, grid=
         grid = dephasing_grid(t, bath)
     rho0 = initial_two_qubit(ens.spin1, ens.spin2)
     P = _background_from_S(grid.S, cfg, ens)
-    rhos = evolve_series(rho0, grid, cfg, ens, p_n=P)
-    C = concurrence_series(rhos)
+    C = np.empty(grid.t.size)
+    for start in range(0, grid.t.size, _CHUNK):
+        b = slice(start, start + _CHUNK)
+        # no name holds the factor block, so it is freed before its states are scored
+        rho = _evolved(
+            rho0,
+            _evolution_factors(grid.t[b], grid.S[b], grid.Gamma[b], cfg, ens, "interaction", P=P[b]),
+        )
+        C[b] = concurrence_series(rho)
     absP = np.abs(P)
     tau = tau_of_t(grid.t, cfg, bath)
     meta["steps"] = int(grid.t.size)

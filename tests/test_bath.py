@@ -271,6 +271,20 @@ class TestNonFiniteTime:
                     func(bad, BathConfig())
 
 
+class TestHugeTime:
+    # k_c t = 1e280: the squares in the direct branches overflow to inf, and
+    # the quotients they divide go to their limit 0 without a warning
+    def test_phase_is_its_linear_limit(self):
+        bath = BathConfig(epsilon=1e-20)
+        x = bath.k_c * 1e300
+        assert phase_S(1e300, bath) == -(bath.k_c**2) * x / 6.0
+        np.testing.assert_array_equal(phase_S(np.array([1e300]), bath), [phase_S(1e300, bath)])
+
+    def test_gamma_is_its_saturation(self):
+        bath = BathConfig(epsilon=1e-20)
+        assert decay_Gamma(1e300, bath) == pytest.approx(gamma_saturation(bath), rel=1e-14)
+
+
 class TestConfig:
     def test_derived_cutoff(self):
         bath = BathConfig(epsilon=2.0, theta=3.0)

@@ -134,6 +134,24 @@ class TestExitCodes:
         assert "finite" in err
 
     @pytest.mark.parametrize(
+        "argv, want",
+        [
+            (["--t-max", "1e300", "--kappa-c", "1e10", "--epsilon", "1e-20"], 0),
+            (["--kappa-c", "1e100", "--epsilon", "1e-300", "--theta", "1e-8"], 4),
+        ],
+        ids=["capped", "subnormal-cutoff"],
+    )
+    def test_infinite_step_request(self, capsys, argv, want):
+        # the auto step count is infinite; the cap applies before it becomes an int
+        code, out, err = _run(capsys, ["timeseries", "--n", "4"] + argv)
+        assert code == want
+        if want == 0:
+            assert "auto step cap reached: inf points requested, using 20000" in out
+            assert len(out.splitlines()) > 20000
+        else:
+            assert not out and "tail estimate" in err
+
+    @pytest.mark.parametrize(
         "sub, key, value",
         [(sub, "frame", "interaction")
          for sub in ("timeseries", "sweep-kappa", "sweep-n", "grid-pv", "sweep-eta")]

@@ -1,6 +1,7 @@
 """Tests for the sweep drivers and series summaries."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,9 +26,9 @@ from dephasim import (
     sweep_kappa,
     time_series,
 )
-from dephasim import experiments
-from dephasim.dynamics import initial_two_qubit
-from dephasim.entanglement import concurrence_series
+from dephasim import DephasingGrid, dephasing_grid, experiments
+from dephasim.dynamics import evolve_series, initial_two_qubit
+from dephasim.entanglement import _CHUNK, concurrence_series
 from dephasim.experiments import COLLAPSE_FLOOR, _clip_v, _product_states
 
 
@@ -77,13 +78,51 @@ class TestTimeSeries:
         assert ts.meta["steps"] == len(ts.t)
 
     def test_explicit_grid_reused(self, bath, std_ens):
-        from dephasim import dephasing_grid
-
         cfg = CouplingConfig(kappa_c=0.1, N=4)
         grid = dephasing_grid(np.linspace(0.0, 100.0, 64), bath)
         ts = time_series(cfg, std_ens, bath, grid=grid)
         assert len(ts.t) == 64
         np.testing.assert_array_equal(ts.t, grid.t)
+
+    @pytest.mark.parametrize("steps", [2, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3])
+    @pytest.mark.parametrize("shared", [False, True], ids=["own-grid", "shared-grid"])
+    def test_blocks_match_whole_stack(self, bath, steps, shared):
+        # time_series scores its times in blocks of _CHUNK; each C must keep its bits
+        cfg = CouplingConfig(kappa_c=0.3, kappa_l=0.1, N=4)
+        s1, s2 = SpinInit(p=0.5, v=0.48), SpinInit(p=0.4, v=0.3 + 0.2j)
+        ens = EnsembleConfig(spin1=s1, spin2=s2, background_p=[0.2, 0.9])
+        if shared:
+            grid = dephasing_grid(np.linspace(0.0, 200.0, steps), bath)
+            ts = time_series(cfg, ens, bath, grid=grid)
+        else:
+            ts = time_series(cfg, ens, bath, steps=steps)
+            grid = dephasing_grid(ts.t, bath)
+        want = concurrence_series(evolve_series(initial_two_qubit(s1, s2), grid, cfg, ens))
+        assert ts.concurrence.shape == (steps,)
+        np.testing.assert_array_equal(ts.concurrence, want)
+        assert steps == 2 or np.any(ts.concurrence > 0)
+
+    @pytest.mark.parametrize("field", ["S", "Gamma"])
+    def test_non_finite_in_a_later_block(self, bath, std_ens, field):
+        grid = dephasing_grid(np.linspace(0.0, 200.0, 2 * _CHUNK), bath)
+        bad = {"t": grid.t, "S": grid.S.copy(), "Gamma": grid.Gamma.copy()}
+        bad[field][_CHUNK + 7] = math.nan
+        cfg = CouplingConfig(kappa_c=0.3, N=4)
+        with pytest.raises(NumericalError, match="non-finite matrix entries"):
+            time_series(cfg, std_ens, bath, grid=DephasingGrid(**bad))
+
+    def test_memory_is_blocked(self, bath, std_ens):
+        # 100 000 times: the whole factor and state stacks would be 24 MiB each
+        cfg = CouplingConfig(kappa_c=0.05, N=4)
+        time_series(cfg, std_ens, bath, steps=1000)
+        tracemalloc.start()
+        try:
+            ts = time_series(cfg, std_ens, bath, steps=100_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ts.concurrence.size == 100_000
+        assert peak < 24 * 2**20
 
 
 class TestPeak:
