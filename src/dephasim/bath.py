@@ -129,6 +129,9 @@ class BathConfig:
                 "epsilon, theta and epsilon*theta must be positive and finite, got %r, %r and %r"
                 % (self.epsilon, self.theta, self.k_c)
             )
+        # phase_S and decay_Gamma scale by k_c^2
+        if not math.isfinite(self.k_c * self.k_c):
+            raise ValidationError("k_c^2 = (epsilon*theta)^2 must be finite, got k_c = %r" % (self.k_c,))
 
     @property
     def k_c(self):

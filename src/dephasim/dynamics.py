@@ -25,6 +25,17 @@ with k = kappa_c / N^eta, kl = kappa_l, and the lower triangle fixed by
 Hermiticity.  The free phases e^{i w t} are dropped in the default
 interaction frame; they are local unitaries and leave concurrence alone.
 
+The factor F_ij multiplying rho_ij(0) has six distinct upper entries
+(_factor_entries).  States are formed from them entry by entry in real
+ufuncs, a c - b d and a d + b c for (a + ib)(c + id), and stored as the
+entry arrays of entanglement (_evolved).  A real multiply or subtract is
+correctly rounded in every numpy loop, so a state's bits do not depend
+on where it sits in a block, which numpy's complex multiply does not
+promise; and no (T, 4, 4) stack of factors or states is built on the
+way to the concurrence.  The (T, 4, 4) factor stack (_evolution_factors)
+serves grid_pv, whose cells share it, and evolve_series packs its states
+into a stack only for callers that want one.
+
 For N -> infinity at fixed t the matrix tends to an X form when
 0 < eta < 1/4 (all P_N suppressed coherences vanish) and to a product of
 single spin factors when eta > 1/4, both of which are separable.
@@ -198,27 +209,37 @@ def background_factor(t, cfg, ens, bath=None, doubled=False):
 _IU = np.triu_indices(4, k=1)
 
 
-def _factor_matrix(k2S, kl2Gl, k2Gc, P=1.0, Pt=1.0):
-    """Elementwise evolution factors, shape (..., 4, 4), from the exponents.
+def _factor_entries(k2S, kl2Gl, k2Gc, P=1.0, Pt=1.0):
+    """The six upper factor entries F_ij (i < j), in _IU order, from the exponents.
 
     k2S stands for kappa^2 S, kl2Gl for kappa_l^2 Gamma_l and k2Gc for
     kappa^2 Gamma_c, scalars or arrays on common points; P and Pt are
-    P_N and tilde_P_N on the same points.
+    P_N and tilde_P_N on the same points.  F_ii = 1, and F_ji = conj(F_ij).
     """
     phase = np.exp(1j * k2S)
     d_loc = np.exp(-kl2Gl)
     d_col = np.exp(-k2Gc)
-    F = np.ones(np.broadcast(phase, d_loc, d_col).shape + (4, 4), dtype=complex)
-    F[..., 0, 1] = F[..., 0, 2] = phase * d_loc * d_col * P
-    F[..., 0, 3] = d_loc**2 * d_col**4 * Pt
-    F[..., 1, 2] = d_loc**2
-    F[..., 1, 3] = F[..., 2, 3] = np.conj(phase) * d_loc * d_col * P
+    up = phase * d_loc * d_col * P
+    down = np.conj(phase) * d_loc * d_col * P
+    return up, up, d_loc**2 * d_col**4 * Pt, d_loc**2, down, down
+
+
+def _hermitian(entries):
+    """The (..., 4, 4) matrices with unit diagonal and these six upper entries."""
+    F = np.ones(np.broadcast(*entries).shape + (4, 4), dtype=complex)
+    for i, j, f in zip(*_IU, entries):
+        F[..., i, j] = f
     F[..., _IU[1], _IU[0]] = np.conj(F[..., _IU[0], _IU[1]])
     return F
 
 
-def _evolution_factors(t, S, Gamma, cfg, ens, frame, P=None):
-    """Factor stack on times t from the bath integrals S and Gamma.
+def _factor_matrix(k2S, kl2Gl, k2Gc, P=1.0, Pt=1.0):
+    """Elementwise evolution factors, shape (..., 4, 4); see _factor_entries."""
+    return _hermitian(_factor_entries(k2S, kl2Gl, k2Gc, P, Pt))
+
+
+def _evolution_entries(t, S, Gamma, cfg, ens, frame, P=None):
+    """The six upper factor entries on times t, from the bath integrals S and Gamma.
 
     Gamma serves both reservoirs, which share form factor and cutoff.  P
     is P_N on the same times, when the caller already has it.  The lab
@@ -233,30 +254,58 @@ def _evolution_factors(t, S, Gamma, cfg, ens, frame, P=None):
     if P is None:
         P = _background_from_S(S, cfg, ens)
     Pt = _background_from_S(S, cfg, ens, doubled=True)
-    F = _factor_matrix(ke2 * S, cfg.kappa_l**2 * Gamma, ke2 * Gamma, P, Pt)
+    entries = _factor_entries(ke2 * S, cfg.kappa_l**2 * Gamma, ke2 * Gamma, P, Pt)
     if frame == "lab":
         w1, w2 = ens.omega1, ens.omega2
-        for i, j, w in zip(*_IU, (w2, w1, w1 + w2, w1 - w2, w1, w2)):
-            F[..., i, j] *= np.exp(1j * w * t)
-            F[..., j, i] = np.conj(F[..., i, j])
-    return F
+        ws = (w2, w1, w1 + w2, w1 - w2, w1, w2)
+        entries = tuple(f * np.exp(1j * w * t) for f, w in zip(entries, ws))
+    return entries
 
 
-def _evolved(rho0, F):
-    """The states rho0 o F of a factor stack; raises if an entry is not finite."""
-    out = rho0[None, :, :] * F
-    if not np.all(np.isfinite(out)):
+def _evolution_factors(t, S, Gamma, cfg, ens, frame, P=None):
+    """Factor stack (T, 4, 4) on times t; see _evolution_entries."""
+    return _hermitian(_evolution_entries(t, S, Gamma, cfg, ens, frame, P))
+
+
+def _evolved(rho0, entries):
+    """Entry arrays (see entanglement) of the states rho0 o F; raises if one is not finite.
+
+    F is given by its six upper entries.  Each stored entry is the lower
+    one, rho_ji = conj(rho0_ij F_ij), written in real ufuncs: a real
+    multiply or subtract is correctly rounded in every numpy loop, so a
+    state's bits do not depend on its place in the block, and numpy's
+    complex multiply, which rounds its real part in its own way, is not
+    used on the states.  The diagonal is rho0's, as F_ii = 1.
+    """
+    n = len(entries[0])
+    E = {(i, i): (np.full(n, rho0[i, i].real), None) for i in range(4)}
+    for i, j, f in zip(*_IU, entries):
+        a, b = rho0[i, j].real, rho0[i, j].imag
+        if np.iscomplexobj(f):
+            c, d = f.real, f.imag
+            E[j, i] = a * c - b * d, (-a) * d - b * c
+        else:
+            E[j, i] = a * f, (-b) * f
+    if not all(np.isfinite(x).all() for pair in E.values() for x in pair if x is not None):
         raise NumericalError("evolution produced non-finite matrix entries")
-    return out
+    return E
+
+
+def _states(rho0, entries):
+    """The (n, 4, 4) stack of the states rho0 o F."""
+    from .entanglement import _pack  # entanglement imports this module
+
+    return _pack(_evolved(rho0, entries))
 
 
 def evolve_series(rho0, grid, cfg, ens, frame="interaction"):
     """Evolve rho0 along a DephasingGrid, returning a (T, 4, 4) stack.
 
     grid.Gamma serves both the collective and the local reservoir
-    (identical form factor and cutoff).
+    (identical form factor and cutoff).  The states are formed as in
+    experiments.time_series, so each has the same bits there.
     """
-    return _evolved(rho0, _evolution_factors(grid.t, grid.S, grid.Gamma, cfg, ens, frame))
+    return _states(rho0, _evolution_entries(grid.t, grid.S, grid.Gamma, cfg, ens, frame))
 
 
 def evolve(rho0, t, cfg, ens, bath=None, frame="interaction"):
@@ -264,8 +313,8 @@ def evolve(rho0, t, cfg, ens, bath=None, frame="interaction"):
     bath = bath if bath is not None else BathConfig()
     if t < 0:
         raise ValidationError("evolve requires t >= 0")
-    F = _evolution_factors(t, phase_S(t, bath), decay_Gamma(t, bath), cfg, ens, frame)
-    return rho0 * F[0]
+    entries = _evolution_entries(t, phase_S(t, bath), decay_Gamma(t, bath), cfg, ens, frame)
+    return _states(rho0, entries)[0]
 
 
 def limit_state_small_eta(t, s1, s2, cfg, bath=None):

@@ -28,8 +28,8 @@ A state takes the tau route when it is finite and its four pivots are
 all > 0 (a NaN pivot fails).  A rank-deficient state (a Bell state, a
 pure spin in a product) has a zero or negative pivot and takes the M
 route, whose eigh copes with it; a non-finite state gets NaN lambdas.
-The factor and tau^H tau are written out with real ufuncs on rho.real
-and rho.imag only (tau[i, j] = 0 for i + j > 3, as L is lower
+The factor and tau^H tau are written out with real ufuncs on the entry
+arrays (below) only (tau[i, j] = 0 for i + j > 3, as L is lower
 triangular).  A real add, multiply, divide or sqrt is correctly rounded
 in every numpy loop, so a state's route and lambdas depend on that state
 alone, never on the others in its call.  Complex products would not do:
@@ -51,12 +51,41 @@ det >= 0 had a smallest partial-transpose eigenvalue >= -2.2e-16, and in
 each cell the det >= 0 state with the largest floating-point C, at most
 1.02e-8, has C <= 4.2e-50 when recomputed at 50 digits.
 
-The screen and the kernel walk the flattened stack in blocks of _CHUNK
-states, so their temporaries stay a few MiB however long the series.
-experiments.time_series forms its states in blocks of the same size,
-so a long series is never held whole as factors or states: a 100 000
-point CLI timeseries run peaks at 48.8 MiB of RSS, against 94.0 MiB
-when both stacks were formed whole and 30.7 MiB for importing the CLI.
+A block of n states travels as entry arrays: a dict E with
+E[i, j] = (re, im) for i >= j, two contiguous (n,) float arrays holding
+rho[i, j]; the diagonal is real and its im is None, and the upper
+triangle is the conjugate of the lower, the part eigh reads.  dynamics
+forms evolved states in this form, so experiments.time_series never
+builds a (T, 4, 4) stack of factors or states; concurrence_series and
+concurrence unpack their stacks into it once (_entries), and only the
+states that need LAPACK on whole matrices are packed back (_pack): those
+inside the screen's band below, and those without a Cholesky factor.
+Stacks are walked in blocks of _CHUNK states, so temporaries stay a few
+MiB however long the series; a 100 000 point CLI timeseries run peaks at
+48.8 MiB of RSS, against 94.0 MiB when its factors and states were
+formed whole and 30.7 MiB for importing the CLI.
+
+The screen computes det(rho^{T_B}) of each state by Laplace expansion
+over the six pairs of complementary 2 x 2 minors, rows 0-1 against rows
+2-3, in real ufuncs on the entry arrays, like the kernel.  Its error,
+with u = 2^-53, A the partial transpose of the stored state and
+S = sum_sigma prod_i |A[i, sigma_i]| over the 24 permutations: the real
+part of each Leibniz product is a sum of 8 real products of four
+entries, whose moduli add up to at most 4 prod_i |A[i, sigma_i]|, as
+|Re a| + |Im a| <= sqrt(2) |a|.  Each of those 192 real products passes
+at most 13 roundings: 3 in each of its two minors, 2 where the minors
+are multiplied and subtracted, and 5 in the sum of the six terms.  So
+the computed det is within gamma_13 4 S < 53u S of det A, with
+S <= ||rho||_F^4 as shown for the factored screen below, and LU's det
+is within 20 600u ||rho||_F^4 of det A (same place).  Both sit far
+inside the band BAND ||rho||_F^4 + 2^-1000, BAND = 262 144u, so outside
+the band the sign of the expansion is the sign LU gives, and it
+decides.  The states inside the band, and NaN, are packed and sent to
+LU (_pt_det), so every decision is LU's on the stored state: a filter
+in the manner of Shewchuk's (below).  A pure spin in a product has det
+exactly 0 and always reaches LU; of the 100 000 states of
+`timeseries --n 4 --kappa-c 0.05 --steps 100000` none does, where the
+screen once took one LU per state.
 
 Many states that share one factor matrix F (the cells of an
 initial-state grid) can be screened together without forming them.  The
@@ -77,8 +106,8 @@ certified separable when
 
     det > BAND X^4 + 2^-1000,   X = ||rho0||_F max_ij |F_ij| >= ||rho||_F.
 
-The bound covers the filter and LU, with u = 2^-53 and A = fl(rho)^{T_B},
-the matrix that concurrence_series hands to LU:
+The bound covers the filter and LU, with A = fl(rho)^{T_B}, the
+partial transpose of the stored state:
 
 - The filter.  A complex product has relative error at most
   sqrt(2) gamma_2 < 3u (Higham, Accuracy and Stability, Lemma 3.5).
@@ -102,8 +131,8 @@ the matrix that concurrence_series hands to LU:
 BAND = 2^-35 = 262 144u, so a certified pair has det A > 12 times the
 LU error: the stored state is separable (its true concurrence is 0), and
 LU's det is positive as well (numpy's sign * exp(logdet) only rescales
-it and turns it by O(10u)), so the screen of concurrence_series would
-also have given it C = 0.  A band relative to S alone is not enough:
+it and turns it by O(10u)), so the screen of concurrence_series, whose
+decisions are LU's, would also have given it C = 0.  A band relative to S alone is not enough:
 with populations near 1e-125 next to 0.86, a state with an exact det of
 +2.3e-251 gets an LU det of -5.6e-253.  For a physical cell
 1/2 <= ||rho0||_F <= 1, and |F_ij| <= 1 with F_ii = 1, so the band lies
@@ -140,8 +169,8 @@ _FLIP = (-1.0, 1.0, 1.0, -1.0)
 _FLIP_SIGN = np.outer(_FLIP, _FLIP)
 _CHUNK = 8192
 
-# _certified_separable: half-width of the band relative to ||rho||_F^4, and
-# the underflow floor
+# _certified_separable and _pt_laplace: half-width of the band relative to
+# ||rho||_F^4, and the underflow floor
 BAND = 2.0**-35
 _FLOOR = 2.0**-1000
 
@@ -197,34 +226,73 @@ def _partial_transpose(rhos):
     return np.swapaxes(split, -3, -1).reshape(shape)
 
 
+def _entries(rhos):
+    """Entry arrays of a (n, 4, 4) stack: its diagonal and lower triangle.
+
+    A state with a non-finite entry anywhere, read or not, is read as all
+    NaN: LU then gives it a NaN det, which a lone NaN on the diagonal
+    does not always do, and it scores NaN.
+    """
+    E = {
+        (i, j): (rhos.real[:, i, j].copy(), rhos.imag[:, i, j].copy() if i > j else None)
+        for i in range(4)
+        for j in range(i + 1)
+    }
+    bad = ~np.isfinite(rhos).all(axis=(1, 2))
+    if bad.any():
+        for part in (x for pair in E.values() for x in pair if x is not None):
+            part[bad] = np.nan
+    return E
+
+
+def _take(E, idx):
+    """Entry arrays of the states idx of a block."""
+    return {key: (re[idx], None if im is None else im[idx]) for key, (re, im) in E.items()}
+
+
+def _pack(E):
+    """The (n, 4, 4) stack of a block of entry arrays."""
+    rho = np.empty((len(E[0, 0][0]), 4, 4), dtype=complex)
+    for (i, j), (re, im) in E.items():
+        rho.real[:, i, j] = re
+        if im is None:
+            rho.imag[:, i, i] = 0.0
+        else:
+            rho.real[:, j, i] = re
+            rho.imag[:, i, j] = im
+            np.negative(im, out=rho.imag[:, j, i])
+    return rho
+
+
 # states without a factor leave NaN and inf in L and tau, which are not used
 @np.errstate(invalid="ignore", divide="ignore", over="ignore")
-def _cholesky(rhos):
-    """Lower Cholesky factor (rho = L L^H) of each state of a (n, 4, 4) stack.
+def _cholesky(E):
+    """Lower Cholesky factor (rho = L L^H) of each state of a block of entry arrays.
 
     Returns L and a mask.  L[i, j] (i >= j) is a pair of (n,) arrays, the
     real and imaginary parts of that entry; the diagonal is real.  The mask
     marks the states whose four pivots are all > 0 (a NaN pivot fails); the
     factors of the others are not used.
     """
-    zero = np.zeros(len(rhos))
-    ok = np.ones(len(rhos), dtype=bool)
+    n = len(E[0, 0][0])
+    zero = np.zeros(n)
+    ok = np.ones(n, dtype=bool)
     L = {}
     for j in range(4):
-        pivot = rhos.real[:, j, j].copy()
+        pivot = E[j, j][0]
         for k in range(j):
             x, y = L[j, k]
-            pivot -= x * x + y * y
+            pivot = pivot - (x * x + y * y)
         ok &= pivot > 0.0
         root = np.sqrt(pivot)
         L[j, j] = root, zero
         for i in range(j + 1, 4):
             # rho[i, j] - sum_k L[i, k] conj(L[j, k])
-            x, y = rhos.real[:, i, j].copy(), rhos.imag[:, i, j].copy()
+            x, y = E[i, j]
             for k in range(j):
                 (a, b), (c, e) = L[i, k], L[j, k]
-                x -= a * c + b * e
-                y -= b * c - a * e
+                x = x - (a * c + b * e)
+                y = y - (b * c - a * e)
             L[i, j] = x / root, y / root
     return L, ok
 
@@ -264,24 +332,116 @@ def _mu_eigh(rhos):
     return np.linalg.eigvalsh(0.5 * (M + np.swapaxes(M.conj(), -1, -2)))
 
 
-def _lambdas_stack(rhos):
-    """Decreasing Wootters roots l_i of a (n, 4, 4) stack; NaN for a non-finite state."""
-    finite = np.isfinite(rhos).all(axis=(1, 2))
-    L, ok = _cholesky(rhos)
+def _lambdas(E):
+    """Decreasing Wootters roots l_i of a block of entry arrays; NaN for a non-finite state."""
+    n = len(E[0, 0][0])
+    finite = np.ones(n, dtype=bool)
+    for re, im in E.values():
+        finite &= np.isfinite(re)
+        if im is not None:
+            finite &= np.isfinite(im)
+    L, ok = _cholesky(E)
     H = _factor_gram(L)
     ok &= finite
-    mu = np.full(rhos.shape[:-1], np.nan)
+    mu = np.full((n, 4), np.nan)
     mu[ok] = np.linalg.eigvalsh(H[ok])
-    rest = finite & ~ok
-    if rest.any():
-        mu[rest] = _mu_eigh(rhos[rest])
+    rest = np.flatnonzero(finite & ~ok)
+    if rest.size:
+        mu[rest] = _mu_eigh(_pack(_take(E, rest)))
     lam = np.sqrt(np.clip(mu, 0.0, None))
     return lam[..., ::-1]
 
 
+def _mul(x, y):
+    """x y for entries given as (re, im) pairs, im None for a real entry."""
+    (a, b), (c, d) = x, y
+    if b is None and d is None:
+        return a * c, None
+    if b is None or d is None:
+        return a * c, (a * d if b is None else b * c)
+    return a * c - b * d, a * d + b * c
+
+
+def _sub(x, y):
+    """x - y for entries given as (re, im) pairs, im None for a real entry."""
+    (a, b), (c, d) = x, y
+    if d is None:
+        return a - c, b
+    return a - c, (-d if b is None else b - d)
+
+
+def _pt_entry(E, r, c):
+    """rho^{T_B}[r, c] of a block of entry arrays, as an (re, im) pair."""
+    # T_B swaps the second qubit's indices: [2a + b, 2a' + b'] <- [2a + b', 2a' + b]
+    i, j = (r & 2) | (c & 1), (c & 2) | (r & 1)
+    if i >= j:
+        return E[i, j]
+    re, im = E[j, i]
+    return re, -im
+
+
+# rows 0-1 take the columns (c1, c2) and rows 2-3 the rest, (c3, c4); the
+# sign is that of the permutation (c1, c2, c3, c4)
+_LAPLACE = (
+    (0, 1, 2, 3, 1.0),
+    (0, 2, 1, 3, -1.0),
+    (0, 3, 1, 2, 1.0),
+    (1, 2, 0, 3, 1.0),
+    (1, 3, 0, 2, -1.0),
+    (2, 3, 0, 1, 1.0),
+)
+
+
+@np.errstate(invalid="ignore", over="ignore")
+def _pt_laplace(E):
+    """det(rho^{T_B}) of each state of a block of entry arrays, and its band.
+
+    The determinant is the Laplace expansion over the complementary 2 x 2
+    minors of rows 0-1 and rows 2-3; the band is BAND ||rho||_F^4 + _FLOOR
+    (see the module docstring).
+    """
+    A = [[_pt_entry(E, r, c) for c in range(4)] for r in range(4)]
+    det = 0.0
+    for c1, c2, c3, c4, sign in _LAPLACE:
+        top = _sub(_mul(A[0][c1], A[1][c2]), _mul(A[0][c2], A[1][c1]))
+        bot = _sub(_mul(A[2][c3], A[3][c4]), _mul(A[2][c4], A[3][c3]))
+        (a, b), (c, d) = top, bot
+        term = a * c if b is None or d is None else a * c - b * d
+        det = det + term if sign > 0 else det - term
+    norm2 = 0.0
+    for re, im in E.values():
+        norm2 = norm2 + (re * re if im is None else 2.0 * (re * re + im * im))
+    return det, BAND * (norm2 * norm2) + _FLOOR
+
+
 def _pt_det(block):
+    """LU determinant of the partial transpose of each state of a (n, 4, 4) stack."""
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.linalg.det(_partial_transpose(block)).real
+
+
+def _screen(E):
+    """Indices of the states of a block that LU gives det(rho^{T_B}) < 0 or NaN.
+
+    Outside the band the sign of the Laplace expansion is LU's; the states
+    inside it, and NaN, are packed and sent to LU.
+    """
+    det, bound = _pt_laplace(E)
+    kept = det < -bound
+    unsure = np.flatnonzero(~(np.abs(det) > bound))
+    if unsure.size:
+        kept[unsure] = ~(_pt_det(_pack(_take(E, unsure))) >= 0.0)
+    return np.flatnonzero(kept)
+
+
+def _concurrence_block(E):
+    """Concurrence of each state of a block of entry arrays: the screen, then the kernel."""
+    c = np.zeros(len(E[0, 0][0]))
+    kept = _screen(E)
+    if kept.size:
+        lam = _lambdas(_take(E, kept))
+        c[kept] = lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3]
+    return np.clip(c, 0.0, 1.0)
 
 
 def _pt_terms(A):
@@ -314,20 +474,16 @@ def concurrence_series(rhos):
     """Concurrence of a (..., 4, 4) stack of density matrices.
 
     Inputs are trusted (no validation); intended for evolved series where
-    the construction guarantees the density matrix invariants.  A state
-    with a non-finite entry that the screen passes scores NaN.
+    the construction guarantees the density matrix invariants.  Each state
+    is read from its diagonal and lower triangle.  A state with a
+    non-finite entry that the screen passes scores NaN.
     """
     rhos = np.asarray(rhos, dtype=complex)
     flat = rhos.reshape(-1, 4, 4)
-    c = np.zeros(flat.shape[0])
+    c = np.empty(flat.shape[0])
     for start in range(0, flat.shape[0], _CHUNK):
-        block = flat[start : start + _CHUNK]
-        # a NaN det (NaN entries, or subnormal pivots) sends the state to the kernel
-        kept = np.flatnonzero(~(_pt_det(block) >= 0.0))
-        if kept.size:
-            lam = _lambdas_stack(block[kept])
-            c[start + kept] = lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3]
-    return np.clip(c, 0.0, 1.0).reshape(rhos.shape[:-2])
+        c[start : start + _CHUNK] = _concurrence_block(_entries(flat[start : start + _CHUNK]))
+    return c.reshape(rhos.shape[:-2])
 
 
 def concurrence(rho, validate=True):
@@ -335,11 +491,12 @@ def concurrence(rho, validate=True):
     rho = np.asarray(rho, dtype=complex)
     if validate:
         validate_two_qubit(rho)
-    lam = _lambdas_stack(rho[None, :, :])[0]
+    E = _entries(rho[None, :, :])
+    lam = _lambdas(E)[0]
     if not np.all(np.isfinite(lam)):
         raise NumericalError("concurrence eigenvalue computation failed")
     # the screen of concurrence_series, reusing the kernel's lambdas
-    value = lam[0] - lam[1] - lam[2] - lam[3] if not _pt_det(rho[None])[0] >= 0.0 else 0.0
+    value = lam[0] - lam[1] - lam[2] - lam[3] if _screen(E).size else 0.0
     value = float(np.clip(value, 0.0, 1.0))
     return ConcurrenceResult(value=value, lambdas=tuple(float(x) for x in lam))
 

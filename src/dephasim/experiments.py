@@ -18,6 +18,7 @@ that want the states themselves.
 
 from dataclasses import dataclass, replace
 import math
+import numbers
 
 import numpy as np
 
@@ -32,11 +33,19 @@ from .dynamics import (
     limit_state_small_eta,
     tau_of_t,
     _background_from_S,
+    _evolution_entries,
     _evolution_factors,
     _evolved,
     _factor_matrix,
 )
-from .entanglement import _CHUNK, _certified_separable, _partial_transpose, concurrence, concurrence_series
+from .entanglement import (
+    _CHUNK,
+    _certified_separable,
+    _concurrence_block,
+    _partial_transpose,
+    concurrence,
+    concurrence_series,
+)
 from .errors import FitError, NumericalError, ValidationError
 
 __all__ = [
@@ -151,6 +160,10 @@ def _resolve_grid(cfg, bath, t_max, steps, tau_max, meta):
                     "auto step cap reached: %.0f points requested, using %d"
                     % (needed, MAX_AUTO_STEPS)
                 )
+    if not isinstance(steps, numbers.Integral) and not (
+        isinstance(steps, numbers.Real) and float(steps).is_integer()
+    ):
+        raise ValidationError("steps must be an integer, got %r" % (steps,))
     if steps < 2:
         raise ValidationError("steps must be >= 2")
     t = np.linspace(0.0, t_max, int(steps))
@@ -171,9 +184,13 @@ def time_series(cfg, ens, bath=None, t_max=None, steps=None, tau_max=None, grid=
     configurations that share the same times.  S, Gamma and P_N are
     evaluated once for the whole grid, since they are output columns.
     The states are formed and scored in blocks of entanglement._CHUNK
-    times, so a long series never holds its whole (T, 4, 4) stack of
-    factors or states.  Every step acts on each time alone, so each C
-    has the bits that concurrence_series(evolve_series(...)) gives it.
+    times, as entry arrays: the six factor entries, then each state
+    entry in real ufuncs (dynamics._evolved), then the closed-form
+    screen and the kernel, which read the same arrays.  No (T, 4, 4)
+    stack of factors or states is built, and packing and unpacking one
+    cost more than forming the states.  Every step acts on each time
+    alone, so each C has the bits that
+    concurrence_series(evolve_series(...)) gives it.
     """
     bath = bath if bath is not None else BathConfig()
     meta = {
@@ -194,12 +211,8 @@ def time_series(cfg, ens, bath=None, t_max=None, steps=None, tau_max=None, grid=
     C = np.empty(grid.t.size)
     for start in range(0, grid.t.size, _CHUNK):
         b = slice(start, start + _CHUNK)
-        # no name holds the factor block, so it is freed before its states are scored
-        rho = _evolved(
-            rho0,
-            _evolution_factors(grid.t[b], grid.S[b], grid.Gamma[b], cfg, ens, "interaction", P=P[b]),
-        )
-        C[b] = concurrence_series(rho)
+        F = _evolution_entries(grid.t[b], grid.S[b], grid.Gamma[b], cfg, ens, "interaction", P=P[b])
+        C[b] = _concurrence_block(_evolved(rho0, F))
     absP = np.abs(P)
     tau = tau_of_t(grid.t, cfg, bath)
     meta["steps"] = int(grid.t.size)

@@ -309,6 +309,9 @@ class TestConfig:
         {"theta": math.nan},
         {"theta": math.inf},
         {"epsilon": 1e200, "theta": 1e200},
+        # k_c is finite, but phase_S squares it
+        {"theta": 1e200},
+        {"epsilon": 1e300},
     ])
     def test_rejects_nonpositive(self, kwargs):
         with pytest.raises(ValidationError):

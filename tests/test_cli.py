@@ -124,8 +124,9 @@ class TestExitCodes:
             ["timeseries", "--kappa-l", "1e170", "--steps", "50"],
             ["timeseries", "--eta", "2000", "--steps", "50"],
             ["timeseries", "--t-max", "1e300", "--kappa-c", "1e150"],
+            ["timeseries", "--steps", "5", "--theta", "1e300"],
         ],
-        ids=["kappa-c-squared", "kappa-l-squared", "n-to-eta", "rescaled-window"],
+        ids=["kappa-c-squared", "kappa-l-squared", "n-to-eta", "rescaled-window", "cutoff-squared"],
     )
     def test_overflow_is_validation(self, capsys, argv):
         # each overflows a Python float unless it is rejected as input

@@ -24,6 +24,7 @@ from dephasim import (
     ppt_negative,
     spin_flip,
     t_of_tau,
+    time_series,
     x_state_concurrence,
 )
 from dephasim import entanglement
@@ -32,9 +33,11 @@ from dephasim.entanglement import (
     _SIGN,
     _certified_separable,
     _cholesky,
-    _lambdas_stack,
+    _entries,
+    _lambdas,
     _mu_eigh,
     _partial_transpose,
+    _pt_laplace,
     _pt_terms,
 )
 from dephasim.experiments import _clip_v, _product_states
@@ -62,6 +65,11 @@ def _random_unitary(rng):
     a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     q, r = np.linalg.qr(a)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _lambdas_stack(rhos):
+    # the kernel on a (n, 4, 4) stack
+    return _lambdas(_entries(rhos))
 
 
 def _pt_det(rhos):
@@ -182,11 +190,11 @@ class TestConcurrence:
     def test_one_kernel_call(self, monkeypatch, entangled):
         calls = []
 
-        def counted(rhos):
-            calls.append(len(rhos))
-            return _lambdas_stack(rhos)
+        def counted(E):
+            calls.append(len(E[0, 0][0]))
+            return _lambdas(E)
 
-        monkeypatch.setattr(entanglement, "_lambdas_stack", counted)
+        monkeypatch.setattr(entanglement, "_lambdas", counted)
         rng = np.random.default_rng(17)
         rhos = [_random_density(rng) for _ in range(40)]
         rhos = [r for r in rhos if (_pt_det(r[None])[0] < 0.0) == entangled][:5]
@@ -270,7 +278,7 @@ class TestKernel:
             corner[~(_pt_det(corner) >= 0.0)],
             np.stack([_bell(), initial_two_qubit(SpinInit(p=0.0), SpinInit(p=0.3, v=0.2))]),
         ])
-        ok = _cholesky(states)[1]
+        ok = _cholesky(_entries(states))[1]
         assert ok.sum() > 400 and not ok.all()
         alone = np.array([_lambdas_stack(rho[None])[0] for rho in states])
         np.testing.assert_array_equal(_lambdas_stack(states), alone)
@@ -287,7 +295,7 @@ class TestKernel:
         # every eigenvalue of these states is >= 0.025
         rng = np.random.default_rng(29)
         rhos = np.stack([0.9 * _random_density(rng) + 0.025 * np.eye(4) for _ in range(200)])
-        assert _cholesky(rhos)[1].all()
+        assert _cholesky(_entries(rhos))[1].all()
         np.testing.assert_allclose(_lambdas_stack(rhos), _roots(_mu_eigh(rhos)), rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("states", [
@@ -297,7 +305,7 @@ class TestKernel:
     ], ids=["bell", "corner-p0", "symmetric-pure"])
     def test_rank_deficient_take_eigh_route(self, states):
         rhos = states()
-        ok = _cholesky(rhos)[1]
+        ok = _cholesky(_entries(rhos))[1]
         # round-off leaves a few pure-spin states of the symmetric grid a tiny
         # positive pivot; a state with an exact zero pivot never factors
         assert ok.mean() < 0.1
@@ -311,11 +319,11 @@ class TestKernel:
         s = SpinInit(p=0.56, v=_clip_v(0.56, 0.5)[0])
         pure = initial_two_qubit(s, s) * _factor_matrix(math.pi / 2.0, 0.0, 0.0)
         exact = generic + [pure]
-        assert _cholesky(np.stack(exact))[1].all()
+        assert _cholesky(_entries(np.stack(exact)))[1].all()
         # near-rank-1 corner states (p1 = p2 = 1/2), one per route: the roots
         # of round-off in the small eigenvalues leave errors near 1e-8 on both
         corner = _corner_slice()[[43988, 41572]]
-        np.testing.assert_array_equal(_cholesky(corner)[1], [True, False])
+        np.testing.assert_array_equal(_cholesky(_entries(corner))[1], [True, False])
         for rhos, tol in ((np.stack(exact), 1e-14), (corner, 1e-8)):
             got = concurrence_series(rhos)
             want = [_mp_concurrence(rho) for rho in rhos]
@@ -476,6 +484,109 @@ class TestProperties:
     def test_entangled_implies_npt(self, rho):
         if concurrence(rho).value > 1e-9:
             assert ppt_negative(rho)
+
+
+@pytest.fixture(scope="module")
+def cli_series():
+    # timeseries --n 4 --kappa-c 0.05 --steps 100000, and its states as
+    # evolve_series packs them
+    bath = BathConfig()
+    spin = SpinInit(p=0.5, v=0.48)
+    ens = EnsembleConfig(spin1=spin, spin2=spin)
+    cfg = CouplingConfig(kappa_c=0.05, N=4)
+    ts = time_series(cfg, ens, bath, steps=100_000)
+    rhos = evolve_series(initial_two_qubit(spin, spin), dephasing_grid(ts.t, bath), cfg, ens)
+    return ts, rhos
+
+
+def _outside_band_agrees(rhos):
+    # outside the band the sign of the Laplace expansion is LU's; returns
+    # the mask of states outside it
+    det, bound = _pt_laplace(_entries(rhos))
+    lu = _pt_det(rhos)
+    out = np.abs(det) > bound
+    np.testing.assert_array_equal(np.sign(det[out]), np.sign(lu[out]))
+    return out
+
+
+def _lu_spy(monkeypatch):
+    sizes = []
+    lu = entanglement._pt_det
+
+    def spy(block):
+        sizes.append(len(block))
+        return lu(block)
+
+    monkeypatch.setattr(entanglement, "_pt_det", spy)
+    return sizes
+
+
+class TestLaplaceScreen:
+    """The closed-form det(rho^{T_B}) screen and its LU fallback inside the band."""
+
+    @pytest.mark.parametrize("states", [_corner_slice, _symmetric_pure_states, _witness_states])
+    def test_sign_matches_lu_outside_band(self, states):
+        assert _outside_band_agrees(states()).any()
+
+    def test_sign_matches_lu_on_cli_series(self, cli_series):
+        assert _outside_band_agrees(cli_series[1]).all()
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(_density_matrices(), min_size=1, max_size=8))
+    def test_sign_matches_lu_on_drawn_states(self, rhos):
+        _outside_band_agrees(np.stack(rhos))
+
+    def test_cli_series_never_reaches_lu(self, monkeypatch):
+        sizes = _lu_spy(monkeypatch)
+        spin = SpinInit(p=0.5, v=0.48)
+        ts = time_series(CouplingConfig(kappa_c=0.05, N=4), EnsembleConfig(spin, spin),
+                         BathConfig(), steps=100_000)
+        assert ts.concurrence.max() > 0.0
+        assert sum(sizes) == 0
+
+    def test_zero_det_reaches_lu(self, monkeypatch):
+        # a pure spin in a product at t = 0: det(rho^{T_B}) = 0 exactly
+        others = [SpinInit(p=0.3, v=0.2), SpinInit(p=0.45, v=0.45), SpinInit(p=0.2, v=0.3j)]
+        pairs = [(pure, other) for pure in (SpinInit(p=0.0), SpinInit(p=0.5, v=0.5)) for other in others]
+        rhos = _product_states(*zip(*(pairs + [(b, a) for a, b in pairs])))
+        np.testing.assert_array_equal(_pt_det(rhos), 0.0)
+        det, bound = _pt_laplace(_entries(rhos))
+        assert np.all(np.abs(det) <= bound)
+        sizes = _lu_spy(monkeypatch)
+        assert np.all(concurrence_series(rhos) == 0.0)
+        assert sizes == [len(rhos)]
+
+    def test_nan_state_scores_nan(self):
+        rng = np.random.default_rng(37)
+        good = np.stack([_random_density(rng) for _ in range(6)])
+        for i, j in ((0, 0), (1, 2), (2, 1), (3, 0)):
+            bad = np.eye(4, dtype=complex) / 4.0
+            bad[i, j] = math.nan
+            c = concurrence_series(np.concatenate([good[:3], bad[None], good[3:]]))
+            assert np.isnan(c[3])
+            np.testing.assert_array_equal(np.delete(c, 3), concurrence_series(good))
+
+    def test_single_state_keeps_series_bits(self):
+        rng = np.random.default_rng(43)
+        corner = _corner_slice()
+        rhos = np.concatenate([
+            np.stack([_random_density(rng) for _ in range(30)]),
+            corner[rng.choice(len(corner), 30, replace=False)],
+            _symmetric_pure_states()[:10],
+            np.stack([_bell(), initial_two_qubit(SpinInit(p=0.0), SpinInit(p=0.3, v=0.2))]),
+        ])
+        series = concurrence_series(rhos)
+        assert series.max() > 0.0 and np.any(series == 0.0)
+        for rho, c in zip(rhos, series):
+            assert concurrence(rho, validate=False).value == c
+            assert concurrence_series(rho[None])[0] == c
+
+    def test_cli_series_against_30_digits(self, cli_series):
+        ts, rhos = cli_series
+        idx = np.random.default_rng(47).choice(len(rhos), 50, replace=False)
+        want = [_mp_concurrence(rhos[i]) for i in idx]
+        assert max(want) > 0.0
+        np.testing.assert_allclose(ts.concurrence[idx], want, rtol=0, atol=1e-13)
 
 
 class TestXState:

@@ -111,6 +111,17 @@ class TestTimeSeries:
         with pytest.raises(NumericalError, match="non-finite matrix entries"):
             time_series(cfg, std_ens, bath, grid=DephasingGrid(**bad))
 
+    @pytest.mark.parametrize("steps", [2.5, 1e3 + 0.5, math.nan, math.inf])
+    def test_non_integral_steps_rejected(self, bath, std_ens, steps):
+        cfg = CouplingConfig(kappa_c=0.1, N=4)
+        with pytest.raises(ValidationError, match="steps must be an integer"):
+            time_series(cfg, std_ens, bath, steps=steps)
+
+    def test_integral_float_steps_accepted(self, bath, std_ens):
+        cfg = CouplingConfig(kappa_c=0.1, N=4)
+        ts = time_series(cfg, std_ens, bath, steps=3.0)
+        np.testing.assert_array_equal(ts.concurrence, time_series(cfg, std_ens, bath, steps=3).concurrence)
+
     def test_memory_is_blocked(self, bath, std_ens):
         # 100 000 times: the whole factor and state stacks would be 24 MiB each
         cfg = CouplingConfig(kappa_c=0.05, N=4)
@@ -392,6 +403,12 @@ class TestGridPV:
     def test_dynamic_mode_needs_cfg(self):
         with pytest.raises(ValidationError):
             grid_pv(np.linspace(0, 0.5, 3), mode="dynamic-corner")
+
+    def test_non_integral_steps_rejected(self, bath):
+        vals = np.linspace(0.0, 0.5, 3)
+        with pytest.raises(ValidationError, match="steps must be an integer"):
+            grid_pv(vals, vals, mode="dynamic-corner", cfg=CouplingConfig(kappa_c=0.05, N=8),
+                    bath=bath, steps=2.5)
 
     @pytest.mark.parametrize("mode", ["symmetric-pv", "dynamic-corner"])
     def test_empty_axis_rejected(self, bath, mode):
