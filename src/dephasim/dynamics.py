@@ -32,9 +32,8 @@ entry arrays of entanglement (_evolved).  A real multiply or subtract is
 correctly rounded in every numpy loop, so a state's bits do not depend
 on where it sits in a block, which numpy's complex multiply does not
 promise; and no (T, 4, 4) stack of factors or states is built on the
-way to the concurrence.  The (T, 4, 4) factor stack (_evolution_factors)
-serves grid_pv, whose cells share it, and evolve_series packs its states
-into a stack only for callers that want one.
+way to the concurrence.  evolve_series packs its states into a stack
+only for callers that want one.
 
 For N -> infinity at fixed t the matrix tends to an X form when
 0 < eta < 1/4 (all P_N suppressed coherences vanish) and to a product of
@@ -224,20 +223,6 @@ def _factor_entries(k2S, kl2Gl, k2Gc, P=1.0, Pt=1.0):
     return up, up, d_loc**2 * d_col**4 * Pt, d_loc**2, down, down
 
 
-def _hermitian(entries):
-    """The (..., 4, 4) matrices with unit diagonal and these six upper entries."""
-    F = np.ones(np.broadcast(*entries).shape + (4, 4), dtype=complex)
-    for i, j, f in zip(*_IU, entries):
-        F[..., i, j] = f
-    F[..., _IU[1], _IU[0]] = np.conj(F[..., _IU[0], _IU[1]])
-    return F
-
-
-def _factor_matrix(k2S, kl2Gl, k2Gc, P=1.0, Pt=1.0):
-    """Elementwise evolution factors, shape (..., 4, 4); see _factor_entries."""
-    return _hermitian(_factor_entries(k2S, kl2Gl, k2Gc, P, Pt))
-
-
 def _evolution_entries(t, S, Gamma, cfg, ens, frame, P=None):
     """The six upper factor entries on times t, from the bath integrals S and Gamma.
 
@@ -262,25 +247,21 @@ def _evolution_entries(t, S, Gamma, cfg, ens, frame, P=None):
     return entries
 
 
-def _evolution_factors(t, S, Gamma, cfg, ens, frame, P=None):
-    """Factor stack (T, 4, 4) on times t; see _evolution_entries."""
-    return _hermitian(_evolution_entries(t, S, Gamma, cfg, ens, frame, P))
-
-
 def _evolved(rho0, entries):
     """Entry arrays (see entanglement) of the states rho0 o F; raises if one is not finite.
 
-    F is given by its six upper entries.  Each stored entry is the lower
-    one, rho_ji = conj(rho0_ij F_ij), written in real ufuncs: a real
-    multiply or subtract is correctly rounded in every numpy loop, so a
-    state's bits do not depend on its place in the block, and numpy's
+    F is given by its six upper entries, (n,) arrays.  rho0 is one 4x4
+    matrix, or a (n, 4, 4) stack with one per state.  Each stored entry is
+    the lower one, rho_ji = conj(rho0_ij F_ij), written in real ufuncs: a
+    real multiply or subtract is correctly rounded in every numpy loop, so
+    a state's bits do not depend on its place in the block, and numpy's
     complex multiply, which rounds its real part in its own way, is not
     used on the states.  The diagonal is rho0's, as F_ii = 1.
     """
     n = len(entries[0])
-    E = {(i, i): (np.full(n, rho0[i, i].real), None) for i in range(4)}
+    E = {(i, i): (np.full(n, rho0[..., i, i].real), None) for i in range(4)}
     for i, j, f in zip(*_IU, entries):
-        a, b = rho0[i, j].real, rho0[i, j].imag
+        a, b = rho0[..., i, j].real, rho0[..., i, j].imag
         if np.iscomplexobj(f):
             c, d = f.real, f.imag
             E[j, i] = a * c - b * d, (-a) * d - b * c
@@ -292,18 +273,24 @@ def _evolved(rho0, entries):
 
 
 def _states(rho0, entries):
-    """The (n, 4, 4) stack of the states rho0 o F."""
+    """The (n, 4, 4) stack of the states rho0 o F, for one finite 4x4 rho0."""
     from .entanglement import _pack  # entanglement imports this module
 
+    rho0 = np.asarray(rho0)
+    if rho0.shape != (4, 4):
+        raise ValidationError("rho0 must be one 4x4 matrix, got shape %r" % (rho0.shape,))
+    if not np.all(np.isfinite(rho0)):
+        raise ValidationError("rho0 has non-finite entries")
     return _pack(_evolved(rho0, entries))
 
 
 def evolve_series(rho0, grid, cfg, ens, frame="interaction"):
-    """Evolve rho0 along a DephasingGrid, returning a (T, 4, 4) stack.
+    """Evolve one 4x4 rho0 along a DephasingGrid, returning a (T, 4, 4) stack.
 
     grid.Gamma serves both the collective and the local reservoir
     (identical form factor and cutoff).  The states are formed as in
-    experiments.time_series, so each has the same bits there.
+    experiments.time_series, so each has the same bits there.  With
+    rho0 = np.ones((4, 4)) the stack is F itself, as F = 1 o F.
     """
     return _states(rho0, _evolution_entries(grid.t, grid.S, grid.Gamma, cfg, ens, frame))
 

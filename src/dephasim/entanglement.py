@@ -55,7 +55,7 @@ A block of n states travels as entry arrays: a dict E with
 E[i, j] = (re, im) for i >= j, two contiguous (n,) float arrays holding
 rho[i, j]; the diagonal is real and its im is None, and the upper
 triangle is the conjugate of the lower, the part eigh reads.  dynamics
-forms evolved states in this form, so experiments.time_series never
+forms evolved states and factors in this form, so no experiments driver
 builds a (T, 4, 4) stack of factors or states; concurrence_series and
 concurrence unpack their stacks into it once (_entries), and only the
 states that need LAPACK on whole matrices are packed back (_pack): those
@@ -95,11 +95,13 @@ Leibniz expansion factors:
 
     det = sum_sigma sgn(sigma) prod_i rho0^{T_B}[i, sigma_i] prod_i F^{T_B}[i, sigma_i].
 
-_pt_terms gives the 24 products of a stack, built as 12 products over
-rows 0-1 times 12 over rows 2-3 (three complex products per term), and
-_certified_separable contracts the terms of T factor matrices with those
-of C cells in one (T x 48) (48 x C) real einsum (real and imaginary
-parts packed).  The sign test carries a rigorous error bound and leaves
+_pt_terms gives the 24 products of a block of entry arrays in real
+ufuncs: per row of _LAPLACE, each product of the minor of rows 0-1 times
+each of rows 2-3 (three complex products per term).  _certified_separable
+contracts the terms of T factors (the entry arrays of 1 o F) with those
+of C cells in one (T x 48) (48 x C) real einsum (real and imaginary parts
+packed), with the signs _SIGN on the factors' side alone: on both sides
+they would square away.  The sign test carries a rigorous error bound and leaves
 everything inside it to the exact route, in the manner of Shewchuk's
 filtered predicates (Discrete Comput. Geom. 18, 305, 1997): a pair is
 certified separable when
@@ -116,7 +118,7 @@ partial transpose of the stored state:
   products per factor and their product add 21.1u S, and the 48-term
   real sum gamma_48 S more (|Re a Re b| + |Im a Im b| <= |a| |b|).  So
   the computed det is within 82u S of det A, and the computed bound is
-  BAND X^4 to within 30u.  S is the permanent of
+  BAND X^4 to within 32u.  S is the permanent of
   |rho0^{T_B} o F^{T_B}|, at most the product of its row 1-norms, which
   is at most ||rho0 o F||_F^4 <= X^4 (Cauchy-Schwarz, then AM-GM).
 - LU (LAPACK zgetrf, pivots by |Re| + |Im|): multipliers are at most
@@ -131,8 +133,9 @@ partial transpose of the stored state:
 BAND = 2^-35 = 262 144u, so a certified pair has det A > 12 times the
 LU error: the stored state is separable (its true concurrence is 0), and
 LU's det is positive as well (numpy's sign * exp(logdet) only rescales
-it and turns it by O(10u)), so the screen of concurrence_series, whose
-decisions are LU's, would also have given it C = 0.  A band relative to S alone is not enough:
+it and turns it by O(10u)), so the screen of _concurrence_block, whose
+decisions are LU's, would also have given it C = 0.  A band relative to
+S alone is not enough:
 with populations near 1e-125 next to 0.86, a state with an exact det of
 +2.3e-251 gets an LU det of -5.6e-253.  For a physical cell
 1/2 <= ||rho0||_F <= 1, and |F_ij| <= 1 with F_ii = 1, so the band lies
@@ -142,7 +145,7 @@ random pairs LU's det never left the Leibniz value by more than
 0.8u ||rho||_F^4.  The 2^-1000 floor covers gradual underflow, which
 adds absolute rather than relative error.  Pairs inside the band (a spin
 with p = 0 zeroes whole rows of rho0^{T_B}, so its det is exactly 0) and
-NaN are not certified; they go through concurrence_series.
+NaN are not certified; they are formed and go through _concurrence_block.
 
 The Peres-Horodecki test provides an independent witness: for two
 qubits, a negative partial transpose is equivalent to entanglement.
@@ -173,29 +176,6 @@ _CHUNK = 8192
 # ||rho||_F^4, and the underflow floor
 BAND = 2.0**-35
 _FLOOR = 2.0**-1000
-
-
-def _leibniz_tables():
-    """Index and sign tables of the 24 permutations of a 4x4 determinant.
-
-    A permutation is an ordered column pair for rows 0-1 followed by the
-    ordered remaining pair for rows 2-3; top and bot index the 12 ordered
-    pairs of each half.
-    """
-    pairs = [(a, b) for a in range(4) for b in range(4) if a != b]
-    top, bot, sign = [], [], []
-    for i, upper in enumerate(pairs):
-        for j, lower in enumerate(pairs):
-            perm = upper + lower
-            if len(set(perm)) == 4:
-                inversions = sum(perm[a] > perm[b] for a in range(4) for b in range(a + 1, 4))
-                top.append(i)
-                bot.append(j)
-                sign.append(-1.0 if inversions % 2 else 1.0)
-    return [a for a, _ in pairs], [b for _, b in pairs], top, bot, np.array(sign)
-
-
-_COL0, _COL1, _TOP, _BOT, _SIGN = _leibniz_tables()
 
 
 @dataclass(frozen=True)
@@ -390,6 +370,17 @@ _LAPLACE = (
     (1, 3, 0, 2, -1.0),
     (2, 3, 0, 1, 1.0),
 )
+# the signs of the 24 Leibniz products of _pt_terms: within a row of
+# _LAPLACE, u and v are the signs of the two products of each minor
+_SIGN = np.array([s * u * v for *_, s in _LAPLACE for u in (1.0, -1.0) for v in (1.0, -1.0)])
+
+
+def _norm2(E):
+    """||rho||_F^2 of each state of a block of entry arrays."""
+    norm2 = 0.0
+    for re, im in E.values():
+        norm2 = norm2 + (re * re if im is None else 2.0 * (re * re + im * im))
+    return norm2
 
 
 @np.errstate(invalid="ignore", over="ignore")
@@ -408,9 +399,7 @@ def _pt_laplace(E):
         (a, b), (c, d) = top, bot
         term = a * c if b is None or d is None else a * c - b * d
         det = det + term if sign > 0 else det - term
-    norm2 = 0.0
-    for re, im in E.values():
-        norm2 = norm2 + (re * re if im is None else 2.0 * (re * re + im * im))
+    norm2 = _norm2(E)
     return det, BAND * (norm2 * norm2) + _FLOOR
 
 
@@ -444,28 +433,36 @@ def _concurrence_block(E):
     return np.clip(c, 0.0, 1.0)
 
 
-def _pt_terms(A):
-    """The (n, 24) Leibniz products prod_i A^{T_B}[i, sigma_i] of a (n, 4, 4) stack."""
-    pt = _partial_transpose(A)
-    top = pt[:, 0, _COL0] * pt[:, 1, _COL1]
-    bot = pt[:, 2, _COL0] * pt[:, 3, _COL1]
-    return top[:, _TOP] * bot[:, _BOT]
+def _pt_terms(E):
+    """The 24 Leibniz products prod_i rho^{T_B}[i, sigma_i] of a block of entry arrays.
+
+    Returns a (n, 48) array: their real parts, then their imaginary parts,
+    each in the order of _SIGN.
+    """
+    A = [[_pt_entry(E, r, c) for c in range(4)] for r in range(4)]
+    terms = []
+    for c1, c2, c3, c4, _ in _LAPLACE:
+        tops = _mul(A[0][c1], A[1][c2]), _mul(A[0][c2], A[1][c1])
+        bots = _mul(A[2][c3], A[3][c4]), _mul(A[2][c4], A[3][c3])
+        terms += [_mul(top, bot) for top in tops for bot in bots]
+    zero = np.zeros(len(E[0, 0][0]))
+    return np.stack([re for re, _ in terms] + [zero if im is None else im for _, im in terms], 1)
 
 
 def _certified_separable(cells, F):
-    """(T, C) mask: the state cells[c] * F[t] has det(rho^{T_B}) > 0 beyond round-off.
+    """(T, C) mask: the state cells[c] o F[t] has det(rho^{T_B}) > 0 beyond round-off.
 
-    See the module docstring for BAND.  einsum, not a BLAS product: the
-    contraction is small, and gemm would wake the BLAS thread pool.
+    cells and F are entry arrays of C and T states; F holds the factors
+    themselves, as F = 1 o F.  See the module docstring for BAND.  einsum,
+    not a BLAS product: the contraction is small, and gemm would wake the
+    BLAS thread pool.
     """
-    tC, tF = _pt_terms(cells), _pt_terms(F)
-    packed_F = np.concatenate([_SIGN * tF.real, -_SIGN * tF.imag], axis=1)
-    packed_C = np.concatenate([tC.real, tC.imag], axis=1)
-    det = np.einsum("tk,ck->tc", packed_F, packed_C)
-    # ||cells[c] * F[t]||_F^4 <= ||cells[c]||_F^4 max|F[t]|^4
-    norm4_C = np.sum(cells.real**2 + cells.imag**2, axis=(1, 2)) ** 2
-    max4_F = np.max(np.abs(F), axis=(1, 2)) ** 4
-    bound = np.multiply.outer(max4_F, BAND * norm4_C)
+    # Re(c f) = Re c Re f - Im c Im f; the sign goes on one side only
+    det = np.einsum("tk,ck->tc", np.concatenate([_SIGN, -_SIGN]) * _pt_terms(F), _pt_terms(cells))
+    # ||cells[c] o F[t]||_F^4 <= ||cells[c]||_F^4 max|F[t]|^4, and F_ii = 1
+    max2_F = np.maximum.reduce([re * re if im is None else re * re + im * im
+                                for re, im in F.values()])
+    bound = np.multiply.outer(max2_F * max2_F, BAND * _norm2(cells) ** 2)
     bound += _FLOOR
     return det > bound
 

@@ -34,19 +34,18 @@ from .dynamics import (
     tau_of_t,
     _background_from_S,
     _evolution_entries,
-    _evolution_factors,
     _evolved,
-    _factor_matrix,
+    _factor_entries,
 )
 from .entanglement import (
     _CHUNK,
     _certified_separable,
     _concurrence_block,
+    _entries,
     _partial_transpose,
     concurrence,
-    concurrence_series,
 )
-from .errors import FitError, NumericalError, ValidationError
+from .errors import FitError, ValidationError
 
 __all__ = [
     "TimeSeries",
@@ -135,6 +134,15 @@ class SweepResult:
         return np.array([row[i] for row in self.rows])
 
 
+def _integer(x, name):
+    """x as an int, if it is integral (3.0 and numpy integers are); else ValidationError."""
+    if not isinstance(x, numbers.Integral) and not (
+        isinstance(x, numbers.Real) and float(x).is_integer()
+    ):
+        raise ValidationError("%s must be an integer, got %r" % (name, x))
+    return int(x)
+
+
 def _resolve_grid(cfg, bath, t_max, steps, tau_max, meta):
     ke2 = cfg.effective_kappa_c**2
     if t_max is None:
@@ -160,13 +168,14 @@ def _resolve_grid(cfg, bath, t_max, steps, tau_max, meta):
                     "auto step cap reached: %.0f points requested, using %d"
                     % (needed, MAX_AUTO_STEPS)
                 )
-    if not isinstance(steps, numbers.Integral) and not (
-        isinstance(steps, numbers.Real) and float(steps).is_integer()
-    ):
-        raise ValidationError("steps must be an integer, got %r" % (steps,))
+    steps = _integer(steps, "steps")
     if steps < 2:
         raise ValidationError("steps must be >= 2")
-    t = np.linspace(0.0, t_max, int(steps))
+    try:
+        t = np.linspace(0.0, t_max, steps)
+    except ValueError:
+        # numpy refuses a size it cannot address before allocating anything
+        raise ValidationError("steps = %d is too large for an array" % steps) from None
     if ke2 > 0:
         width = 1.0 / (ke2 * math.sqrt(cfg.N))
         if t[1] - t[0] > width / 10.0:
@@ -290,7 +299,7 @@ def sweep_N(n_values, cfg, ens, bath=None, tau_max=None, steps=None):
     evaluated once and reused.
     """
     bath = bath if bath is not None else BathConfig()
-    n_values = [int(n) for n in n_values]
+    n_values = [_integer(n, "N") for n in n_values]
     if any(n < 2 for n in n_values):
         raise ValidationError("all N must be >= 2")
     meta = {
@@ -335,7 +344,7 @@ def sweep_eta(eta_values, n_values, cfg, ens, bath=None, tau_max=None, steps=Non
     """Peak statistics across scaling exponents and spin counts."""
     bath = bath if bath is not None else BathConfig()
     eta_values = [float(e) for e in eta_values]
-    n_values = [int(n) for n in n_values]
+    n_values = [_integer(n, "N") for n in n_values]
     meta = {
         "experiment": "sweep-eta",
         "kappa_c": cfg.kappa_c,
@@ -390,15 +399,16 @@ def grid_pv(
     (|v|^2 > p(1-p)) are clipped to the boundary, flagged, and excluded
     from the reported argmax.
 
-    Every cell shares the factor matrices F(t), so the (cell, time) pairs
-    are screened from their factors (entanglement._certified_separable)
-    in blocks of times with about 2e5 pairs each.  Only the pairs whose
-    separability is not certified are formed, rho = cell * F(t), and
-    scored by concurrence_series; a certified pair scores 0, as it would
-    there.  A cell with a spin at p = 0 or 1 and v = 0 is not screened at
-    all: its rho0^{T_B} has a zero row, which every finite F keeps, so
-    det(rho^{T_B}) is exactly 0 and concurrence_series would score 0.  On
-    the N = 40 corner grid 4018 of the 484 000 pairs are formed.
+    Every cell shares the factors F(t), so the (cell, time) pairs are
+    screened from the entry arrays of the cells and of F
+    (entanglement._certified_separable) in blocks of times with about 2e5
+    pairs each.  Only the pairs whose separability is not certified are
+    formed, as time_series forms its states (dynamics._evolved), and
+    scored by entanglement._concurrence_block; a certified pair scores 0,
+    as it would there.  A cell with a spin at p = 0 or 1 and v = 0 is not
+    screened at all: its rho0^{T_B} has a zero row, which every finite F
+    keeps, so det(rho^{T_B}) is exactly 0 and it would score 0.  On the
+    N = 40 corner grid 4018 of the 484 000 pairs are formed.
     """
     bath = bath if bath is not None else BathConfig()
     values1 = [float(x) for x in values1]
@@ -413,7 +423,7 @@ def grid_pv(
     meta = {"experiment": "grid-pv", "mode": mode, "warnings": []}
     if mode == "symmetric-pv":
         meta.update({"s_knob": s_knob, "gamma_l_knob": gamma_l_knob, "gamma_c_knob": gamma_c_knob})
-        F = _factor_matrix(s_knob, gamma_l_knob, gamma_c_knob)[None]
+        F = np.atleast_1d(*_factor_entries(s_knob, gamma_l_knob, gamma_c_knob))
 
         def cell(p, v):
             vc, clipped = _clip_v(p, v)
@@ -438,7 +448,7 @@ def grid_pv(
         grid = dephasing_grid(_resolve_grid(cfg, bath, None, steps, tau_max, meta), bath)
         probe = SpinInit(p=0.5, v=0.0)
         ens0 = EnsembleConfig(spin1=probe, spin2=probe, background_p=ens_background)
-        F = _evolution_factors(grid.t, grid.S, grid.Gamma, cfg, ens0, "interaction")
+        F = _evolution_entries(grid.t, grid.S, grid.Gamma, cfg, ens0, "interaction")
 
         def cell(p1, p2):
             v1, c1 = _clip_v(p1, p1)
@@ -448,8 +458,6 @@ def grid_pv(
         cols = ("p1", "p2", "c_max", "clipped")
     else:
         raise ValidationError("unknown grid_pv mode %r" % (mode,))
-    if not np.all(np.isfinite(F)):
-        raise NumericalError("evolution produced non-finite factors")
     keys = [(a, b) for a in values1 for b in values2]
     spins1, spins2, flags = zip(*(cell(a, b) for a, b in keys))
     cells = _product_states(spins1, spins2)
@@ -459,10 +467,12 @@ def grid_pv(
     block = max(1, int(2e5 / len(cells)))
     cmax = np.zeros(len(cells))
     cells = cells[live]
-    for start in range(0, F.shape[0], block):
-        Fb = F[start : start + block]
-        t, c = np.nonzero(~_certified_separable(cells, Fb))
-        np.maximum.at(cmax, live[c], concurrence_series(cells[c] * Fb[t]))
+    cells_E = _entries(cells)
+    for start in range(0, len(F[0]), block):
+        Fb = [f[start : start + block] for f in F]
+        # F = 1 o F; _evolved raises if a factor is not finite
+        t, c = np.nonzero(~_certified_separable(cells_E, _evolved(np.ones((4, 4)), Fb)))
+        np.maximum.at(cmax, live[c], _concurrence_block(_evolved(cells[c], [f[t] for f in Fb])))
     rows = [key + (float(c), int(f)) for key, c, f in zip(keys, cmax, flags)]
     feasible = [r for r in rows if not r[3]]
     if feasible:
@@ -481,7 +491,7 @@ def limits_compare(eta, n_values, t, s1, s2, kappa_c, kappa_l=0.0, background_p=
     bath = bath if bath is not None else BathConfig()
     if eta <= 0 or eta == 0.25:
         raise ValidationError("limits require eta in (0, 1/4) or (1/4, inf)")
-    n_values = [int(n) for n in n_values]
+    n_values = [_integer(n, "N") for n in n_values]
     if not n_values:
         raise ValidationError("limits has no points to compare")
     ens = EnsembleConfig(spin1=s1, spin2=s2, background_p=background_p)

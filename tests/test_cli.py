@@ -153,6 +153,22 @@ class TestExitCodes:
             assert not out and "tail estimate" in err
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["timeseries", "--steps", "100000000000000000000"],
+            ["grid-pv", "--mode", "dynamic-corner", "--grid-points", "3",
+             "--steps", "100000000000000000000"],
+        ],
+        ids=["timeseries", "grid-pv"],
+    )
+    def test_unaddressable_steps_is_validation(self, capsys, argv):
+        # numpy refuses a 1e20-point grid before allocating anything; counts
+        # that it would try to allocate (about 1e10 to 9e18) are not run here
+        code, out, err = _run(capsys, argv)
+        assert code == 2 and not out
+        assert "steps" in err and "too large" in err
+
+    @pytest.mark.parametrize(
         "sub, key, value",
         [(sub, "frame", "interaction")
          for sub in ("timeseries", "sweep-kappa", "sweep-n", "grid-pv", "sweep-eta")]

@@ -364,6 +364,21 @@ class TestEvolve:
         with pytest.raises(ValidationError):
             evolve(rho0, 1.0, cfg, ens, bath=bath, frame="rotating")
 
+    @pytest.mark.parametrize(
+        "rho0",
+        [np.eye(5) / 5.0, np.eye(3) / 3.0, np.stack([np.eye(4) / 4.0] * 2),
+         np.full((4, 4), math.nan), np.diag([0.25, 0.25, 0.25, math.inf])],
+        ids=["5x5", "3x3", "stack", "nan", "inf"],
+    )
+    def test_rejects_malformed_rho0(self, rho0):
+        # one finite 4x4 matrix only: read entry by entry, a 5x5 would be cut
+        # to its top-left block, and a 3x3 or a NaN would fail past validation
+        bath, cfg, ens = self._setup()
+        with pytest.raises(ValidationError, match="rho0"):
+            evolve(rho0, 1.0, cfg, ens, bath=bath)
+        with pytest.raises(ValidationError, match="rho0"):
+            evolve_series(rho0, dephasing_grid(np.array([0.0, 1.0]), bath), cfg, ens)
+
     def test_large_n_suppression(self):
         # every background-dressed coherence dies; (2,3) survives untouched
         bath = BathConfig()

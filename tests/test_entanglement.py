@@ -28,7 +28,7 @@ from dephasim import (
     x_state_concurrence,
 )
 from dephasim import entanglement
-from dephasim.dynamics import _evolution_factors, _factor_matrix
+from dephasim.dynamics import _evolved, _factor_entries
 from dephasim.entanglement import (
     _SIGN,
     _certified_separable,
@@ -36,6 +36,7 @@ from dephasim.entanglement import (
     _entries,
     _lambdas,
     _mu_eigh,
+    _pack,
     _partial_transpose,
     _pt_laplace,
     _pt_terms,
@@ -65,6 +66,11 @@ def _random_unitary(rng):
     a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     q, r = np.linalg.qr(a)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _knob_factors(k2S, kl2Gl, k2Gc):
+    # the (1, 4, 4) factor stack of the exponents, F = 1 o F
+    return _pack(_evolved(np.ones((4, 4)), np.atleast_1d(*_factor_entries(k2S, kl2Gl, k2Gc))))
 
 
 def _lambdas_stack(rhos):
@@ -248,7 +254,7 @@ def _symmetric_pure_states():
     # grid sends to the kernel
     axis = [(p, v) for p in np.linspace(0.0, 1.0, 51) for v in np.linspace(0.0, 0.5, 51)]
     spins = [SpinInit(p=p, v=_clip_v(p, v)[0]) for p, v in axis if _clip_v(p, v)[1]]
-    rhos = _product_states(spins, spins) * _factor_matrix(math.pi / 2.0, 0.0, 0.0)
+    rhos = _product_states(spins, spins) * _knob_factors(math.pi / 2.0, 0.0, 0.0)
     return rhos[~(_pt_det(rhos) >= 0.0)]
 
 
@@ -317,7 +323,7 @@ class TestKernel:
         # a pure-spin cell of the symmetric grid (p = 0.56, |v| clipped to
         # 0.496) that the eigh route scored 1.8e-8 too low, C = 0.9856
         s = SpinInit(p=0.56, v=_clip_v(0.56, 0.5)[0])
-        pure = initial_two_qubit(s, s) * _factor_matrix(math.pi / 2.0, 0.0, 0.0)
+        pure = initial_two_qubit(s, s) * _knob_factors(math.pi / 2.0, 0.0, 0.0)[0]
         exact = generic + [pure]
         assert _cholesky(_entries(np.stack(exact)))[1].all()
         # near-rank-1 corner states (p1 = p2 = 1/2), one per route: the roots
@@ -338,7 +344,7 @@ def _corner_pairs():
     grid = dephasing_grid(t_of_tau(np.linspace(0.0, 2.0 * math.pi, 4000), cfg), BathConfig())
     probe = SpinInit(p=0.5, v=0.0)
     ens = EnsembleConfig(probe, probe)
-    F = _evolution_factors(grid.t, grid.S, grid.Gamma, cfg, ens, "interaction")
+    F = evolve_series(np.ones((4, 4)), grid, cfg, ens)
     axis = np.round(np.linspace(0.0, 0.5, 11), 12)
     spins = [SpinInit(p=p, v=p) for p in axis]
     return _product_states([a for a in spins for _ in spins], [b for _ in spins for b in spins]), F
@@ -349,7 +355,7 @@ def _symmetric_pairs():
     # non-zero ones
     spins = [SpinInit(p=p, v=_clip_v(p, v)[0])
              for p in np.linspace(0.0, 1.0, 51) for v in np.linspace(0.0, 0.5, 51)]
-    F = np.stack([_factor_matrix(math.pi / 2.0, 0.0, 0.0), _factor_matrix(1.1, 0.2, 0.3)])
+    F = np.concatenate([_knob_factors(math.pi / 2.0, 0.0, 0.0), _knob_factors(1.1, 0.2, 0.3)])
     return _product_states(spins, spins), F
 
 
@@ -381,8 +387,8 @@ def _screen_cases(draw):
     )
     bath = BathConfig(epsilon=draw(st.floats(min_value=0.2, max_value=5.0)))
     grid = dephasing_grid(np.linspace(0.0, draw(st.floats(1e-3, 200.0)), 40), bath)
-    F = _evolution_factors(grid.t, grid.S, grid.Gamma, cfg, ens,
-                           draw(st.sampled_from(["interaction", "lab"])))
+    frame = draw(st.sampled_from(["interaction", "lab"]))
+    F = evolve_series(np.ones((4, 4)), grid, cfg, ens, frame)
     spins = draw(st.lists(st.tuples(_spins(), _spins()), min_size=6, max_size=6))
     return _product_states(*zip(*spins)), F
 
@@ -391,9 +397,12 @@ class TestFactoredScreen:
     """_certified_separable screens (cell, time) pairs from their factors."""
 
     def test_terms_expand_the_determinant(self):
+        # Hermitian, as entry arrays hold only those
         rng = np.random.default_rng(2)
-        A = rng.normal(size=(50, 4, 4)) + 1j * rng.normal(size=(50, 4, 4))
-        leibniz = (_SIGN * _pt_terms(A)).sum(axis=1)
+        B = rng.normal(size=(50, 4, 4)) + 1j * rng.normal(size=(50, 4, 4))
+        A = B + np.swapaxes(B.conj(), 1, 2)
+        terms = _pt_terms(_entries(A))
+        leibniz = (_SIGN * (terms[:, :24] + 1j * terms[:, 24:])).sum(axis=1)
         lu = np.linalg.det(_partial_transpose(A))
         np.testing.assert_allclose(leibniz, lu, rtol=0, atol=1e-12)
 
@@ -402,7 +411,7 @@ class TestFactoredScreen:
         # a certified pair has LU det >= 0, so the screen of concurrence_series
         # would give it C = 0, and the unscreened kernel leaves only round-off
         cells, F = pairs()
-        cert = _certified_separable(cells, F)
+        cert = _certified_separable(_entries(cells), _entries(F))
         assert cert.any() and not cert.all()
         for start in range(0, len(F), 500):
             t, c = np.nonzero(cert[start : start + 500])
@@ -420,7 +429,7 @@ class TestFactoredScreen:
         grid = dephasing_grid(t_of_tau(np.linspace(0.0, 2.0 * math.pi, 200), cfg), BathConfig())
         probe = SpinInit(p=0.5, v=0.0)
         ens = EnsembleConfig(probe, probe)
-        F = _evolution_factors(grid.t, grid.S, grid.Gamma, cfg, ens, "interaction")
+        F = evolve_series(np.ones((4, 4)), grid, cfg, ens)
         fractions = (0.0, 0.5, 1.0)
         small = [SpinInit(p=10.0**-k, v=f * math.sqrt(10.0**-k * (1.0 - 10.0**-k)))
                  for k in (20, 40, 60, 100, 125, 150) for f in fractions]
@@ -429,7 +438,7 @@ class TestFactoredScreen:
         pairs = [(a, b) for a in small for b in big]
         pairs += [(b, a) for a, b in pairs] + [(a, b) for a in big for b in big]
         cells = _product_states(*zip(*pairs))
-        t, c = np.nonzero(_certified_separable(cells, F))
+        t, c = np.nonzero(_certified_separable(_entries(cells), _entries(F)))
         assert t.size
         assert np.all(_pt_det(cells[c] * F[t]) >= 0.0)
 
@@ -437,7 +446,7 @@ class TestFactoredScreen:
     @given(_screen_cases())
     def test_certified_implies_nonnegative_det(self, case):
         cells, F = case
-        t, c = np.nonzero(_certified_separable(cells, F))
+        t, c = np.nonzero(_certified_separable(_entries(cells), _entries(F)))
         assert np.all(_pt_det(cells[c] * F[t]) >= 0.0)
 
     def test_zero_det_and_nan_not_certified(self):
@@ -445,9 +454,9 @@ class TestFactoredScreen:
         pure = SpinInit(p=0.0)
         mixed = SpinInit(p=0.5, v=0.1)
         cells = _product_states([pure, mixed, mixed], [mixed, pure, mixed])
-        F = np.stack([_factor_matrix(0.3, 0.1, 0.2), _factor_matrix(0.3, 0.1, 0.2)])
+        F = np.concatenate([_knob_factors(0.3, 0.1, 0.2), _knob_factors(0.3, 0.1, 0.2)])
         F[1, 0, 3] = F[1, 3, 0] = math.nan
-        cert = _certified_separable(cells, F)
+        cert = _certified_separable(_entries(cells), _entries(F))
         np.testing.assert_array_equal(cert, [[False, False, True], [False, False, False]])
 
 

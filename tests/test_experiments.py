@@ -28,7 +28,7 @@ from dephasim import (
 )
 from dephasim import DephasingGrid, dephasing_grid, experiments
 from dephasim.dynamics import evolve_series, initial_two_qubit
-from dephasim.entanglement import _CHUNK, concurrence_series
+from dephasim.entanglement import _CHUNK, _concurrence_block, _pack, concurrence_series
 from dephasim.experiments import COLLAPSE_FLOOR, _clip_v, _product_states
 
 
@@ -286,6 +286,29 @@ class TestSweeps:
         with pytest.raises(ValidationError, match="no points"):
             sweep(CouplingConfig(kappa_c=0.1, N=4), std_ens, bath)
 
+    @pytest.mark.parametrize("n", [4.5, 100.7, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "sweep",
+        [
+            lambda n, cfg, ens, bath: sweep_N([4, n], cfg, ens, bath, steps=50),
+            lambda n, cfg, ens, bath: sweep_eta([0.1], [4, n], cfg, ens, bath, steps=50),
+            lambda n, cfg, ens, bath: limits_compare(0.1, [100, n], 30.0, ens.spin1, ens.spin2,
+                                                     kappa_c=0.2, bath=bath),
+        ],
+        ids=["sweep_N", "sweep_eta", "limits_compare"],
+    )
+    def test_non_integral_n_rejected(self, bath, std_ens, sweep, n):
+        # int(n) would run 4.5 as 4 and 100.7 as 100, and raise ValueError on NaN
+        with pytest.raises(ValidationError, match="N must be an integer"):
+            sweep(n, CouplingConfig(kappa_c=0.1, N=4), std_ens, bath)
+
+    @pytest.mark.parametrize("n", [8.0, np.int64(8), np.float64(8.0)])
+    def test_integral_n_accepted(self, bath, std_ens, n):
+        cfg = CouplingConfig(kappa_c=0.1, N=4)
+        res = sweep_N([n], cfg, std_ens, bath, steps=50)
+        assert res.rows == sweep_N([8], cfg, std_ens, bath, steps=50).rows
+        assert type(res.rows[0][0]) is int
+
 
 class TestGridPV:
     def test_symmetric_mode(self):
@@ -332,7 +355,7 @@ class TestGridPV:
         blocks = []
 
         def spy(cells, F):
-            blocks.append(F)
+            blocks.append(_pack(F))
             return screen(cells, F)
 
         screen = experiments._certified_separable
@@ -363,11 +386,11 @@ class TestGridPV:
         # score exactly 0 without forming a state
         formed = []
 
-        def spy(rhos):
-            formed.append(rhos)
-            return concurrence_series(rhos)
+        def spy(E):
+            formed.append(_pack(E))
+            return _concurrence_block(E)
 
-        monkeypatch.setattr(experiments, "concurrence_series", spy)
+        monkeypatch.setattr(experiments, "_concurrence_block", spy)
         vals = np.linspace(0.0, 0.5, 6)
         res = grid_pv(vals, vals, mode="dynamic-corner", cfg=CouplingConfig(kappa_c=0.05, N=8),
                       bath=bath)
@@ -378,18 +401,37 @@ class TestGridPV:
         assert c.max() > 0.0
 
     def test_nonfinite_factors_rejected(self, monkeypatch, bath):
-        factors = experiments._evolution_factors
+        entries = experiments._evolution_entries
 
         def broken(*args, **kwargs):
-            F = factors(*args, **kwargs)
-            F[3, 0, 3] = F[3, 3, 0] = math.nan
+            F = list(entries(*args, **kwargs))
+            F[2] = F[2].copy()  # F_03
+            F[2][3] = math.nan
             return F
 
-        monkeypatch.setattr(experiments, "_evolution_factors", broken)
+        monkeypatch.setattr(experiments, "_evolution_entries", broken)
         vals = np.linspace(0.0, 0.5, 3)
         with pytest.raises(NumericalError):
             grid_pv(vals, vals, mode="dynamic-corner", cfg=CouplingConfig(kappa_c=0.05, N=8),
                     bath=bath, steps=50)
+
+    @pytest.mark.parametrize(
+        "cfg, p1, p2",
+        [
+            (CouplingConfig(kappa_c=0.05, kappa_l=0.1, eta=0.2, N=8), 0.5, 0.5),
+            (CouplingConfig(kappa_c=0.05, kappa_l=0.1, eta=0.2, N=8), 0.45, 0.45),
+            (CouplingConfig(kappa_c=0.05, N=40), 0.5, 0.5),
+        ],
+        ids=["n8-pure", "n8-mixed", "n40-pure"],
+    )
+    def test_cell_matches_time_series(self, bath, cfg, p1, p2):
+        # one corner cell (v = p) and time_series score the same states, so
+        # their peaks agree bit for bit
+        res = grid_pv([p1], [p2], mode="dynamic-corner", cfg=cfg, bath=bath, steps=3000)
+        ens = EnsembleConfig(SpinInit(p=p1, v=p1), SpinInit(p=p2, v=p2))
+        want = time_series(cfg, ens, bath, steps=3000).concurrence.max()
+        assert want > 0.0
+        assert res.column("c_max")[0] == want
 
     def test_product_states_match_kron(self):
         spins = [SpinInit(p=0.0), SpinInit(p=1.0), SpinInit(p=0.3, v=0.2),
