@@ -225,6 +225,8 @@ def _gauss_legendre(n):
 
 # Gauss-Legendre nodes and weights on [-1, 1]; their count is 2K
 _RULE = _gauss_legendre(2 * _TERMS)
+# P_k(x_i) for k < K at the nodes of _RULE
+_VANDER = legendre.legvander(_RULE[0], _TERMS - 1)
 
 
 def _linear_part(x):
@@ -254,7 +256,7 @@ def _sin2_integral(f, L, t):
     w = 0.5 * L * (1.0 + x)
     fw = 0.5 * L * weights * f(w)
     # (L/2) a_k = (k + 1/2) sum_i (L/2) weight_i f(w_i) P_k(x_i)
-    a = (np.arange(terms) + 0.5) * (fw @ legendre.legvander(x, terms - 1))
+    a = (np.arange(terms) + 0.5) * (fw @ _VANDER)
     h = 0.5 * L * t
     out = np.empty_like(t)
 

@@ -11,27 +11,40 @@ s = (-1, 1, 1, -1), so the spin flip is the gather
 rho_tilde[i, j] = s_i s_j conj(rho[3 - i, 3 - j]).
 
 The kernel follows Wootters' proof, which holds for any factor
-rho = W W^H: tau = W^T (Y x Y) W is complex symmetric, and
+rho = W W^H, of any rank: tau = W^T (Y x Y) W is complex symmetric, and
 tau^H tau = W^H (Y x Y) W* W^T (Y x Y) W has the spectrum of
-rho rho_tilde.  With W = L, the lower Cholesky factor, a state costs one
-4 x 4 factorization and one eigvalsh of tau^H tau.  A Cholesky factor
-that completes is backward stable (Higham, Accuracy and Stability,
-Thm 10.3).  Against 30-digit references over 1000 random states, the
-lambdas of this route were within 4.4e-15, and those of the M route,
-eigvalsh of M = sqrt(rho) rho_tilde sqrt(rho) with sqrt(rho) from eigh,
-within 5.0e-13: sqrt(rho) takes the roots of the small eigenvalues of
-rho.  On a near-pure state of the symmetric grid the M route put C
-1.8e-8 low and this route 2e-16.  So the M route serves only the states
-without a factor.
+rho rho_tilde.  A state costs one 4 x 4 factorization and one eigvalsh
+of tau^H tau.  Most states have a Cholesky factor W = L in the natural
+order, and one that completes is backward stable (Higham, Accuracy and
+Stability, Thm 10.3).  Against 30-digit references over 1000 random
+states, the lambdas of this route were within 4.4e-15, and those of the
+sqrt(rho) route, eigvalsh of M = sqrt(rho) rho_tilde sqrt(rho) with
+sqrt(rho) from eigh, within 5.0e-13: sqrt(rho) takes the roots of the
+small eigenvalues of rho.
 
-A state takes the tau route when it is finite and its four pivots are
-all > 0 (a NaN pivot fails).  A rank-deficient state (a Bell state, a
-pure spin in a product) has a zero or negative pivot and takes the M
-route, whose eigh copes with it; a non-finite state gets NaN lambdas.
-The factor and tau^H tau are written out with real ufuncs on the entry
-arrays (below) only (tau[i, j] = 0 for i + j > 3, as L is lower
-triangular).  A real add, multiply, divide or sqrt is correctly rounded
-in every numpy loop, so a state's route and lambdas depend on that state
+A state keeps the natural-order factor when it is finite and each of its
+four pivots exceeds the rank tolerance tol = 4u max_i rho_ii, u = 2^-53,
+LAPACK xPSTRF's default (a NaN pivot fails).  The others, rank-deficient
+states such as a Bell state or a pure spin in a product and states whose
+smallest eigenvalues are round-off, are factored again with complete
+(diagonal) pivoting (_pivoted): each step takes the largest remaining
+diagonal as its pivot, and the factor stops at rank r once that is
+<= tol (Higham, "Analysis of the Cholesky decomposition of a
+semi-definite matrix", 1990; Hammarling, Higham and Lucas, xPSTRF,
+2007).  W = P^T L is exactly zero in its columns r and up, so are the
+rows and columns r and up of tau^H tau, and the lambdas of the dropped
+directions are 0 instead of the roots of round-off.  On the rank-3 states
+of the N = 40 corner cell p1 = p2 = 1/2, the sqrt(rho) route left c_max
+1.9e-9 below its 30-digit value and the pivoted factor 3e-18; on the
+pure-spin cells of the symmetric grid, errors of up to 2.1e-8 fell to
+5.6e-16.  A non-finite state gets NaN lambdas.
+
+Both factors and tau^H tau are written out with real ufuncs on the
+entry arrays (below); for L the terms that are zero because L is lower
+triangular are skipped (tau[i, j] = 0 for i + j > 3), and the pivoted
+factor reads each state's pivot row by fancy indexing, which copies
+bits.  A real add, multiply, divide or sqrt is correctly rounded in
+every numpy loop, so a state's route and lambdas depend on that state
 alone, never on the others in its call.  Complex products would not do:
 numpy's SIMD loop rounds them unlike its scalar loop, and where an array
 switches between the two depends on its alignment, so with a complex
@@ -44,12 +57,13 @@ that pass a screen.  For two qubits, rho is entangled if and only
 if det(rho^{T_B}) < 0, where T_B is the partial transpose over the second
 qubit (Augusiak, Demianowicz, Horodecki, PRA 77, 030301(R), 2008).
 States with det >= 0 get C = 0 exactly; a pure spin in a product state
-therefore scores 0, where the eigenvalue route leaves round-off of up to
-about 1e-8.  Soundness, measured over the 484 000 states of the N = 40
-corner grid (kappa_c = 0.05, 4000 times, 11 x 11 cells): every state with
-det >= 0 had a smallest partial-transpose eigenvalue >= -2.2e-16, and in
-each cell the det >= 0 state with the largest floating-point C, at most
-1.02e-8, has C <= 4.2e-50 when recomputed at 50 digits.
+therefore scores 0, where the kernel alone can leave round-off.
+Soundness, measured over the 484 000 states of the N = 40 corner grid
+(kappa_c = 0.05, 4000 times, 11 x 11 cells): every state with det >= 0
+had a smallest partial-transpose eigenvalue >= -2.2e-16, and in each
+cell the det >= 0 state with the largest floating-point C from the
+sqrt(rho) route of the time, at most 1.02e-8, has C <= 4.2e-50 when
+recomputed at 50 digits.
 
 A block of n states travels as entry arrays: a dict E with
 E[i, j] = (re, im) for i >= j, two contiguous (n,) float arrays holding
@@ -58,8 +72,8 @@ triangle is the conjugate of the lower, the part eigh reads.  dynamics
 forms evolved states and factors in this form, so no experiments driver
 builds a (T, 4, 4) stack of factors or states; concurrence_series and
 concurrence unpack their stacks into it once (_entries), and only the
-states that need LAPACK on whole matrices are packed back (_pack): those
-inside the screen's band below, and those without a Cholesky factor.
+states inside the screen's band below, which need LAPACK's LU on whole
+matrices, are packed back (_pack).
 Stacks are walked in blocks of _CHUNK states, so temporaries stay a few
 MiB however long the series; a 100 000 point CLI timeseries run peaks at
 48.8 MiB of RSS, against 94.0 MiB when its factors and states were
@@ -244,18 +258,26 @@ def _pack(E):
     return rho
 
 
-# states without a factor leave NaN and inf in L and tau, which are not used
+# the rank tolerance relative to max_i rho_ii: LAPACK xPSTRF's default, n u
+_RANK_TOL = 4 * 2.0**-53
+
+
+# states without a natural-order factor leave NaN and inf in L and tau, which
+# are not used
 @np.errstate(invalid="ignore", divide="ignore", over="ignore")
 def _cholesky(E):
     """Lower Cholesky factor (rho = L L^H) of each state of a block of entry arrays.
 
-    Returns L and a mask.  L[i, j] (i >= j) is a pair of (n,) arrays, the
-    real and imaginary parts of that entry; the diagonal is real.  The mask
-    marks the states whose four pivots are all > 0 (a NaN pivot fails); the
-    factors of the others are not used.
+    Returns L, a mask and the rank tolerances.  L[i, j] (i >= j) is a pair of
+    (n,) arrays, the real and imaginary parts of that entry; the diagonal is
+    real.  The mask marks the states whose four pivots all exceed their
+    tolerance, _RANK_TOL max_i rho_ii (a NaN pivot fails); the factors of the
+    others are not used.
     """
     n = len(E[0, 0][0])
     zero = np.zeros(n)
+    tol = _RANK_TOL * np.maximum.reduce([E[i, i][0] for i in range(4)])
+    np.maximum(tol, 0.0, out=tol)
     ok = np.ones(n, dtype=bool)
     L = {}
     for j in range(4):
@@ -263,7 +285,7 @@ def _cholesky(E):
         for k in range(j):
             x, y = L[j, k]
             pivot = pivot - (x * x + y * y)
-        ok &= pivot > 0.0
+        ok &= pivot > tol
         root = np.sqrt(pivot)
         L[j, j] = root, zero
         for i in range(j + 1, 4):
@@ -274,42 +296,85 @@ def _cholesky(E):
                 x = x - (a * c + b * e)
                 y = y - (b * c - a * e)
             L[i, j] = x / root, y / root
-    return L, ok
+    return L, ok, tol
+
+
+@np.errstate(invalid="ignore", divide="ignore")
+def _pivoted(E, tol):
+    """A factor W (rho = W W^H) of each state of a block, by Cholesky with complete pivoting.
+
+    Each step takes the largest remaining diagonal as its pivot, and the
+    factor stops at rank r once that is <= tol (LAPACK xPSTRF).  W = P^T L
+    is kept by the rows of rho, so no row moves.  Returns W as a dict of all
+    16 entries (re, im), exactly zero in the columns r and up.
+    """
+    m = len(tol)
+    at = np.arange(m)
+    # rho[r, p] at a per-state column p, gathered from a (4, 4, m) copy
+    re, im = np.empty((4, 4, m)), np.empty((4, 4, m))
+    for (i, j), (x, y) in E.items():
+        re[i, j] = re[j, i] = x
+        im[i, j], im[j, i] = (0.0, 0.0) if y is None else (y, -y)
+    d = re[range(4), range(4)]  # the remaining diagonal (a copy)
+    left = np.ones((4, m), dtype=bool)  # rows not yet pivoted
+    Wre, Wim = np.zeros((4, 4, m)), np.zeros((4, 4, m))
+    live = np.ones(m, dtype=bool)
+    for j in range(4):
+        p = np.argmax(np.where(left, d, -np.inf), axis=0)
+        pivot = d[p, at]
+        live &= pivot > tol
+        left[p, at] = False
+        root = np.sqrt(pivot)
+        Wp = [(Wre[p, k, at], Wim[p, k, at]) for k in range(j)]
+        for r in range(4):
+            # rho[r, p] - sum_k W[r, k] conj(W[p, k])
+            x, y = re[r, p, at], im[r, p, at]
+            for k, (c, e) in enumerate(Wp):
+                a, b = Wre[r, k], Wim[r, k]
+                x = x - (a * c + b * e)
+                y = y - (b * c - a * e)
+            keep = live & left[r]
+            Wre[r, j] = np.where(keep, x / root, 0.0)
+            Wim[r, j] = np.where(keep, y / root, 0.0)
+            d[r] = d[r] - (Wre[r, j] * Wre[r, j] + Wim[r, j] * Wim[r, j])
+        Wre[p, j, at] = np.where(live, root, 0.0)
+    return {(i, k): (Wre[i, k], Wim[i, k]) for i in range(4) for k in range(4)}
 
 
 @np.errstate(invalid="ignore", over="ignore")
-def _factor_gram(L):
-    """tau^H tau for tau = L^T (Y x Y) L, lower triangle, as a (n, 4, 4) stack."""
-    # tau[i, j] = sum_k s_k L[k, i] L[3 - k, j] is symmetric, and 0 for i + j > 3
+def _factor_gram(W):
+    """tau^H tau for tau = W^T (Y x Y) W, lower triangle, as a (n, 4, 4) stack.
+
+    W maps (i, k) to the pair of (n,) arrays of that entry; an entry it
+    lacks is zero and adds no term.
+    """
+    # tau[i, j] = sum_k s_k W[k, i] W[3 - k, j] is symmetric; for a lower
+    # triangular W it is 0 for i + j > 3
     tau = {}
     for i in range(4):
-        for j in range(i, 4 - i):
+        for j in range(i, 4):
+            ks = [k for k in range(4) if (k, i) in W and (3 - k, j) in W]
+            if not ks:
+                continue
             re = im = 0.0
-            for k in range(i, 4 - j):
-                (a, b), (c, e) = L[k, i], L[3 - k, j]
+            for k in ks:
+                (a, b), (c, e) = W[k, i], W[3 - k, j]
                 re = re + _FLIP[k] * (a * c - b * e)
                 im = im + _FLIP[k] * (a * e + b * c)
             tau[i, j] = tau[j, i] = re, im
-    H = np.zeros((len(L[0, 0][0]), 4, 4), dtype=complex)
+    H = np.zeros((len(W[0, 0][0]), 4, 4), dtype=complex)
     for i in range(4):
         for j in range(i + 1):
-            # sum_k conj(tau[k, i]) tau[k, j], over the k where tau[k, i] != 0
+            # sum_k conj(tau[k, i]) tau[k, j]
             re = im = 0.0
-            for k in range(4 - i):
-                (a, b), (c, e) = tau[k, i], tau[k, j]
-                re = re + (a * c + b * e)
-                im = im + (a * e - b * c)
+            for k in range(4):
+                if (k, i) in tau and (k, j) in tau:
+                    (a, b), (c, e) = tau[k, i], tau[k, j]
+                    re = re + (a * c + b * e)
+                    im = im + (a * e - b * c)
             H.real[:, i, j] = re
             H.imag[:, i, j] = im
     return H
-
-
-def _mu_eigh(rhos):
-    """Eigenvalues of sqrt(rho) rho_tilde sqrt(rho), for states without a Cholesky factor."""
-    w, V = np.linalg.eigh(rhos)
-    rt = (V * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ np.swapaxes(V.conj(), -1, -2)
-    M = rt @ spin_flip(rhos) @ rt
-    return np.linalg.eigvalsh(0.5 * (M + np.swapaxes(M.conj(), -1, -2)))
 
 
 def _lambdas(E):
@@ -320,14 +385,14 @@ def _lambdas(E):
         finite &= np.isfinite(re)
         if im is not None:
             finite &= np.isfinite(im)
-    L, ok = _cholesky(E)
-    H = _factor_gram(L)
+    L, ok, tol = _cholesky(E)
     ok &= finite
     mu = np.full((n, 4), np.nan)
-    mu[ok] = np.linalg.eigvalsh(H[ok])
+    if ok.any():
+        mu[ok] = np.linalg.eigvalsh(_factor_gram(L)[ok])
     rest = np.flatnonzero(finite & ~ok)
     if rest.size:
-        mu[rest] = _mu_eigh(_pack(_take(E, rest)))
+        mu[rest] = np.linalg.eigvalsh(_factor_gram(_pivoted(_take(E, rest), tol[rest])))
     lam = np.sqrt(np.clip(mu, 0.0, None))
     return lam[..., ::-1]
 

@@ -13,7 +13,6 @@ import time
 
 import numpy as np
 import pytest
-from scipy import integrate
 
 import dephasim
 from dephasim import (
@@ -40,6 +39,7 @@ from dephasim import (
     sweep_kappa,
     x_state_concurrence,
 )
+from oracle import _phase_oracle
 
 BATH = BathConfig()
 SPIN = SpinInit(p=0.5, v=0.48)
@@ -234,22 +234,6 @@ class TestLimitStudy:
         ok = max(cs) == 0.0 and max(cl) == 0.0
         _check("limit states carry no entanglement", ok,
                "max small=%.3g large=%.3g" % (max(cs), max(cl)))
-
-
-def _phase_oracle(t, bath):
-    kc = bath.k_c
-    if kc * t <= 1.0:
-        val, _ = integrate.quad(
-            lambda k: k * k * t - k * math.sin(k * t), 0.0, kc,
-            epsabs=1e-18, epsrel=1e-13, limit=200,
-        )
-    else:
-        osc, _ = integrate.quad(
-            lambda k: k, 0.0, kc, weight="sin", wvar=t,
-            epsabs=1e-15, epsrel=1e-13, limit=200, maxp1=100,
-        )
-        val = t * kc**3 / 3.0 - osc
-    return -0.5 * val
 
 
 class TestOracleSuite:

@@ -18,23 +18,7 @@ from dephasim import (
     gamma_saturation,
     phase_S,
 )
-
-
-def _phase_oracle(t, bath):
-    # S(t) = -(1/2) int_0^kc dk (k^2 t - k sin(kt)); split for oscillatory t
-    kc = bath.k_c
-    if kc * t <= 1.0:
-        val, _ = integrate.quad(
-            lambda k: k * k * t - k * math.sin(k * t), 0.0, kc,
-            epsabs=1e-18, epsrel=1e-13, limit=200,
-        )
-    else:
-        osc, _ = integrate.quad(
-            lambda k: k, 0.0, kc, weight="sin", wvar=t,
-            epsabs=1e-15, epsrel=1e-13, limit=200, maxp1=100,
-        )
-        val = t * kc**3 / 3.0 - osc
-    return -0.5 * val
+from oracle import _phase_oracle
 
 
 def _gamma_riemann(t, bath, panels):
@@ -190,7 +174,9 @@ class TestDecay:
 
     def test_tail_guard(self, monkeypatch):
         # eight terms cannot represent the Bose part up to beta w = 40
-        monkeypatch.setattr(bath_module, "_RULE", np.polynomial.legendre.leggauss(16))
+        x, w = np.polynomial.legendre.leggauss(16)
+        monkeypatch.setattr(bath_module, "_RULE", (x, w))
+        monkeypatch.setattr(bath_module, "_VANDER", np.polynomial.legendre.legvander(x, 7))
         with pytest.raises(QuadratureError):
             decay_Gamma(np.array([0.1, 10.0]), BathConfig(epsilon=100.0))
 

@@ -4,7 +4,6 @@ import cmath
 import math
 
 from hypothesis import assume, given, settings, strategies as st
-import mpmath
 import numpy as np
 import pytest
 
@@ -35,16 +34,14 @@ from dephasim.entanglement import (
     _cholesky,
     _entries,
     _lambdas,
-    _mu_eigh,
     _pack,
     _partial_transpose,
+    _pivoted,
     _pt_laplace,
     _pt_terms,
 )
 from dephasim.experiments import _clip_v, _product_states
-
-_SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-_YY = np.kron(_SY, _SY)
+from oracle import _YY, _mp_concurrence, _mu_eigh
 
 
 def _concurrence_oracle(rho):
@@ -258,34 +255,26 @@ def _symmetric_pure_states():
     return rhos[~(_pt_det(rhos) >= 0.0)]
 
 
-def _mp_concurrence(rho):
-    # 30 digits: the eigenvalues of rho rho_tilde, taking the stored rho as exact
-    with mpmath.workdps(30):
-        R = mpmath.matrix([[mpmath.mpc(x.real, x.imag) for x in row] for row in rho])
-        YY = mpmath.matrix(_YY.real.tolist())
-        ev = mpmath.eig(R * (YY * R.conjugate() * YY), left=False, right=False)
-        lam = sorted((mpmath.sqrt(max(mpmath.re(e), 0)) for e in ev), reverse=True)
-        return float(max(0, lam[0] - lam[1] - lam[2] - lam[3]))
-
-
 class TestKernel:
-    """The Wootters kernel: Cholesky route, eigh route and their routing."""
+    """The Wootters kernel: the natural-order and the pivoted Cholesky factor, and their routing."""
 
     def test_lambdas_independent_of_stack(self):
         # a state's lambdas are the same bits alone, in a short stack, and
         # shuffled into a long one beside rank-deficient, separable and NaN
         # states.  numpy's SIMD loops handle the head of an array by its
         # alignment, and a long stack's arrays are allocated apart from a
-        # short one's: a Cholesky in complex arithmetic fails here.
+        # short one's: a Cholesky in complex arithmetic fails here.  The
+        # random states take the natural-order factor, the others the
+        # pivoted one.
         rng = np.random.default_rng(23)
         corner = _corner_slice()
         states = np.concatenate([
-            np.stack([_random_density(rng) for _ in range(40)]),
+            np.stack([_random_density(rng) for _ in range(440)]),
             corner[~(_pt_det(corner) >= 0.0)],
             np.stack([_bell(), initial_two_qubit(SpinInit(p=0.0), SpinInit(p=0.3, v=0.2))]),
         ])
         ok = _cholesky(_entries(states))[1]
-        assert ok.sum() > 400 and not ok.all()
+        assert ok.sum() > 400 and (~ok).sum() > 400
         alone = np.array([_lambdas_stack(rho[None])[0] for rho in states])
         np.testing.assert_array_equal(_lambdas_stack(states), alone)
         nan = np.eye(4, dtype=complex) / 4.0
@@ -304,33 +293,61 @@ class TestKernel:
         assert _cholesky(_entries(rhos))[1].all()
         np.testing.assert_allclose(_lambdas_stack(rhos), _roots(_mu_eigh(rhos)), rtol=0, atol=1e-13)
 
-    @pytest.mark.parametrize("states", [
-        lambda: _bell()[None],
-        lambda: _corner_slice()[:4000],  # the cell p2 = 0 beside the pure spin p1 = 1/2
-        _symmetric_pure_states,
-    ], ids=["bell", "corner-p0", "symmetric-pure"])
-    def test_rank_deficient_take_eigh_route(self, states):
+    @pytest.mark.parametrize("states,rank", [
+        (lambda: _bell()[None], 1),
+        (lambda: initial_two_qubit(SpinInit(p=0.0), SpinInit(p=0.5, v=0.5))[None], 1),
+        (lambda: initial_two_qubit(SpinInit(p=0.5, v=0.5), SpinInit(p=0.3, v=0.2))[None], 2),
+        # the cell p2 = 0 beside the pure spin p1 = 1/2: rank 1 at t = 0, then 2
+        (lambda: _corner_slice()[:4000], 2),
+        (_symmetric_pure_states, 1),
+        # the cell p1 = p2 = 1/2: rank 1 at t = 0, then 3
+        (lambda: _corner_slice()[-4000:], 3),
+    ], ids=["bell", "pure-product", "pure-mixed", "corner-p0", "symmetric-pure", "corner-cell"])
+    def test_rank_deficient_factor(self, states, rank):
         rhos = states()
-        ok = _cholesky(_entries(rhos))[1]
-        # round-off leaves a few pure-spin states of the symmetric grid a tiny
-        # positive pivot; a state with an exact zero pivot never factors
-        assert ok.mean() < 0.1
-        np.testing.assert_array_equal(_lambdas_stack(rhos)[~ok], _roots(_mu_eigh(rhos[~ok])))
+        E = _entries(rhos)
+        _, ok, tol = _cholesky(E)
+        assert not ok.any()
+        W = np.zeros(rhos.shape, dtype=complex)
+        for (i, k), (re, im) in _pivoted(E, tol).items():
+            W[:, i, k] = re + 1j * im
+        # W W^H = rho to round-off (at most 2u ||rho||_F here), and W has the
+        # numerical rank of rho: every dropped eigenvalue is below
+        # 4e-16 ||rho||_F, every kept one above 2.9e-6 ||rho||_F
+        norm = np.linalg.norm(rhos, axis=(1, 2))
+        err = np.linalg.norm(W @ np.swapaxes(W.conj(), 1, 2) - rhos, axis=(1, 2))
+        assert np.all(err <= 16 * 2.0**-53 * norm)
+        ranks = (W != 0.0).any(axis=1).sum(axis=1)
+        kept = np.linalg.eigvalsh(rhos) > 1e-10 * norm[:, None]
+        np.testing.assert_array_equal(ranks, kept.sum(axis=1))
+        assert ranks.max() == rank
+        lam = _lambdas_stack(rhos)
+        c = np.clip(lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3], 0.0, 1.0)
+        idx = np.random.default_rng(53).choice(len(rhos), min(len(rhos), 20), replace=False)
+        idx = np.append(idx, np.argmax(c))
+        want = [_mp_concurrence(rhos[i]) for i in idx]
+        np.testing.assert_allclose(c[idx], want, rtol=0, atol=1e-14)
 
     def test_against_30_digits(self):
         rng = np.random.default_rng(31)
         generic = [_random_density(rng) for _ in range(3)]
         # a pure-spin cell of the symmetric grid (p = 0.56, |v| clipped to
-        # 0.496) that the eigh route scored 1.8e-8 too low, C = 0.9856
+        # 0.496) that the sqrt(rho) route scored 1.8e-8 too low, C = 0.9856;
+        # its last three natural-order pivots are round-off (2.8e-17 and
+        # less), so it takes the pivoted factor, of rank 1
         s = SpinInit(p=0.56, v=_clip_v(0.56, 0.5)[0])
         pure = initial_two_qubit(s, s) * _knob_factors(math.pi / 2.0, 0.0, 0.0)[0]
         exact = generic + [pure]
-        assert _cholesky(_entries(np.stack(exact)))[1].all()
-        # near-rank-1 corner states (p1 = p2 = 1/2), one per route: the roots
-        # of round-off in the small eigenvalues leave errors near 1e-8 on both
+        ok = _cholesky(_entries(np.stack(exact)))[1]
+        np.testing.assert_array_equal(ok, [True, True, True, False])
+        # rank-3 corner states (p1 = p2 = 1/2): the first once took the
+        # natural-order factor, its third pivot a round-off-sized positive
+        # number, and the second the sqrt(rho) route; both were off by about
+        # 1e-8.  Neither has a natural-order pivot above the rank tolerance,
+        # so both take the pivoted factor.
         corner = _corner_slice()[[43988, 41572]]
-        np.testing.assert_array_equal(_cholesky(_entries(corner))[1], [True, False])
-        for rhos, tol in ((np.stack(exact), 1e-14), (corner, 1e-8)):
+        np.testing.assert_array_equal(_cholesky(_entries(corner))[1], [False, False])
+        for rhos, tol in ((np.stack(exact), 1e-14), (corner, 1e-14)):
             got = concurrence_series(rhos)
             want = [_mp_concurrence(rho) for rho in rhos]
             assert min(want) > 0.0

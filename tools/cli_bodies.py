@@ -1,0 +1,58 @@
+"""Write the reference CLI bodies of this checkout, one file each.
+
+    python3 tools/cli_bodies.py OUTDIR
+
+Runs twelve `dephasim` commands that cover every subcommand that computes
+a study, with the package imported from this checkout's src/.  Each
+command runs in OUTDIR and writes its body there with a relative
+--output, so the path recorded in the body's configuration header is the
+same from any checkout.  A command that exits non-zero or writes to
+stderr stops the script.  To compare two checkouts:
+
+    python3 A/tools/cli_bodies.py /tmp/a && python3 B/tools/cli_bodies.py /tmp/b
+    diff -r /tmp/a /tmp/b
+"""
+
+import os
+import pathlib
+import subprocess
+import sys
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+
+# output file name, then the command's arguments
+BODIES = (
+    ("timeseries.csv", ["timeseries", "--n", "4"]),
+    ("timeseries-n40-kappa-l.csv", ["timeseries", "--n", "40", "--kappa-l", "0.3"]),
+    ("timeseries.json", ["timeseries", "--n", "4", "--format", "json"]),
+    ("timeseries-100000.csv", ["timeseries", "--n", "4", "--kappa-c", "0.05", "--steps", "100000"]),
+    ("sweep-n.csv", ["sweep-n"]),
+    ("sweep-kappa.csv", ["sweep-kappa"]),
+    ("sweep-eta.csv", ["sweep-eta"]),
+    ("grid-pv-symmetric.csv", ["grid-pv", "--mode", "symmetric-pv"]),
+    ("grid-pv-symmetric-knobs.csv", ["grid-pv", "--mode", "symmetric-pv", "--s-knob", "1.1",
+                                     "--gamma-l-knob", "0.2", "--gamma-c-knob", "0.3"]),
+    ("grid-pv-corner.csv", ["grid-pv", "--mode", "dynamic-corner"]),
+    ("grid-pv-corner-n8.csv", ["grid-pv", "--mode", "dynamic-corner", "--n", "8",
+                               "--kappa-l", "0.1", "--eta", "0.2"]),
+    ("limits.csv", ["limits"]),
+)
+
+
+def main(argv):
+    if len(argv) != 1:
+        sys.exit("usage: python3 tools/cli_bodies.py OUTDIR")
+    out = pathlib.Path(argv[0])
+    out.mkdir(parents=True, exist_ok=True)
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    for name, args in BODIES:
+        cmd = [sys.executable, "-m", "dephasim.cli"] + args + ["--output", name]
+        done = subprocess.run(cmd, cwd=out, env=env, stderr=subprocess.PIPE, text=True)
+        if done.returncode or done.stderr:
+            sys.exit("%s exited %d:\n%s" % (" ".join(args), done.returncode, done.stderr))
+        print(name)
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])
