@@ -333,6 +333,14 @@ def _ensemble(cfg_values):
     )
 
 
+def _coupling(vals):
+    """The CouplingConfig of vals; a sweep replaces the fields it sweeps, which vals lacks."""
+    return CouplingConfig(
+        kappa_c=vals.get("kappa_c", 0.0), kappa_l=vals["kappa_l"], eta=vals.get("eta", 0.0),
+        N=vals.get("n", 2),
+    )
+
+
 def _bath(cfg_values):
     return BathConfig(epsilon=cfg_values["epsilon"], theta=cfg_values["theta"])
 
@@ -354,11 +362,8 @@ def _table(res):
 
 
 def _run_timeseries(vals):
-    cfg = CouplingConfig(
-        kappa_c=vals["kappa_c"], kappa_l=vals["kappa_l"], eta=vals["eta"], N=vals["n"]
-    )
     ts = time_series(
-        cfg,
+        _coupling(vals),
         _ensemble(vals),
         _bath(vals),
         t_max=vals["t_max"],
@@ -370,10 +375,8 @@ def _run_timeseries(vals):
 
 
 def _run_sweep_kappa(vals):
-    # each point replaces kappa_c
-    cfg = CouplingConfig(kappa_c=0.0, kappa_l=vals["kappa_l"], eta=vals["eta"], N=vals["n"])
     res = sweep_kappa(
-        vals["kappa_values"], cfg, _ensemble(vals), _bath(vals),
+        vals["kappa_values"], _coupling(vals), _ensemble(vals), _bath(vals),
         tau_max=vals["tau_max"], steps=vals["steps"],
     )
     return _table(res)
@@ -386,19 +389,16 @@ def _n_list(vals):
 
 
 def _run_sweep_n(vals):
-    cfg = CouplingConfig(kappa_c=vals["kappa_c"], kappa_l=vals["kappa_l"], eta=vals["eta"], N=2)
     res = sweep_N(
-        _n_list(vals), cfg, _ensemble(vals), _bath(vals),
+        _n_list(vals), _coupling(vals), _ensemble(vals), _bath(vals),
         tau_max=vals["tau_max"], steps=vals["steps"],
     )
     return _table(res)
 
 
 def _run_sweep_eta(vals):
-    # each point replaces eta and N
-    cfg = CouplingConfig(kappa_c=vals["kappa_c"], kappa_l=vals["kappa_l"], N=2)
     res = sweep_eta(
-        vals["eta_values"], _n_list(vals), cfg, _ensemble(vals), _bath(vals),
+        vals["eta_values"], _n_list(vals), _coupling(vals), _ensemble(vals), _bath(vals),
         tau_max=vals["tau_max"], steps=vals["steps"],
     )
     return _table(res)
@@ -421,14 +421,11 @@ def _run_grid_pv(vals):
         )
     else:
         gp = 26 if gp is None else gp
-        cfg = CouplingConfig(
-            kappa_c=vals["kappa_c"], kappa_l=vals["kappa_l"], eta=vals["eta"], N=vals["n"]
-        )
         res = grid_pv(
             np.linspace(0.0, 0.5, gp),
             np.linspace(0.0, 0.5, gp),
             mode=mode,
-            cfg=cfg,
+            cfg=_coupling(vals),
             ens_background=vals["background_p"],
             bath=_bath(vals),
             tau_max=vals["tau_max"],

@@ -3,11 +3,12 @@
 Concurrence curves for different couplings align when plotted against the
 rescaled time tau = (kappa_c / N^eta)^2 nu_c t, so experiments fix a tau
 window (default [0, 2 pi]) and translate it to a time grid per
-configuration.  Each driver returns an immutable table sorted by its
-sweep key; sweep points are evaluated one after another, in input order,
-on the calling thread.  numpy's batched eigh, eigvalsh and det hold the
-interpreter lock, so a thread pool over points bought no wall time and
-cost CPU.
+configuration.  Each driver returns a table whose rows (a list) come in
+input order, with a meta dict of its configuration and grid warnings.
+sweep_N, sweep_kappa and sweep_eta are axes of one driver, _sweep, whose
+points are evaluated one after another on the calling thread.  numpy's
+batched eigvalsh and det hold the interpreter lock, so a thread pool over
+points bought no wall time and cost CPU.
 
 The drivers evolve in the interaction frame.  Concurrence is invariant
 under local unitaries (Wootters, PRL 80, 2245 (1998)), and the lab
@@ -17,6 +18,7 @@ that want the states themselves.
 """
 
 from dataclasses import dataclass, replace
+import itertools
 import math
 import numbers
 
@@ -143,7 +145,22 @@ def _integer(x, name):
     return int(x)
 
 
+# CouplingConfig field -> its meta and column key
+_KEYS = {"kappa_c": "kappa_c", "kappa_l": "kappa_l", "eta": "eta", "N": "n"}
+# swept CouplingConfig field -> the meta key of its values
+_VALUES = {"kappa_c": "kappa_values", "eta": "eta_values", "N": "n_values"}
+
+
+def _meta(experiment, cfg, bath, swept=(), **extra):
+    """A driver's meta dict: cfg's fields that are not swept, the bath, warnings, extra."""
+    meta = {"experiment": experiment}
+    meta.update((key, getattr(cfg, f)) for f, key in _KEYS.items() if f not in swept)
+    meta.update(epsilon=bath.epsilon, theta=bath.theta, warnings=[], **extra)
+    return meta
+
+
 def _resolve_grid(cfg, bath, t_max, steps, tau_max, meta):
+    """The DephasingGrid of cfg's window; resolution warnings go to meta["warnings"]."""
     ke2 = cfg.effective_kappa_c**2
     if t_max is None:
         window = TAU_WINDOW if tau_max is None else float(tau_max)
@@ -183,7 +200,7 @@ def _resolve_grid(cfg, bath, t_max, steps, tau_max, meta):
                 "time step %.3g exceeds a tenth of the background peak width %.3g"
                 % (t[1] - t[0], width)
             )
-    return t
+    return dephasing_grid(t, bath)
 
 
 def time_series(cfg, ens, bath=None, t_max=None, steps=None, tau_max=None, grid=None):
@@ -202,19 +219,9 @@ def time_series(cfg, ens, bath=None, t_max=None, steps=None, tau_max=None, grid=
     concurrence_series(evolve_series(...)) gives it.
     """
     bath = bath if bath is not None else BathConfig()
-    meta = {
-        "experiment": "timeseries",
-        "kappa_c": cfg.kappa_c,
-        "kappa_l": cfg.kappa_l,
-        "eta": cfg.eta,
-        "n": cfg.N,
-        "epsilon": bath.epsilon,
-        "theta": bath.theta,
-        "warnings": [],
-    }
+    meta = _meta("timeseries", cfg, bath)
     if grid is None:
-        t = _resolve_grid(cfg, bath, t_max, steps, tau_max, meta)
-        grid = dephasing_grid(t, bath)
+        grid = _resolve_grid(cfg, bath, t_max, steps, tau_max, meta)
     rho0 = initial_two_qubit(ens.spin1, ens.spin2)
     P = _background_from_S(grid.S, cfg, ens)
     C = np.empty(grid.t.size)
@@ -274,21 +281,37 @@ def collapse_time(series):
     return CollapseResult(tau_c=math.nan, status="no-collapse")
 
 
-def _sweep(points, key_columns, meta, ens, bath, tau_max, steps, grid=None):
-    """Peak and collapse statistics for each (key tuple, CouplingConfig) point.
+def _sweep(experiment, axes, cfg, ens, bath, tau_max, steps):
+    """Peak and collapse statistics over a product of CouplingConfig axes.
 
-    Each point resolves its own time grid unless a shared DephasingGrid
-    is given.  Rows are the key followed by the statistics, in input order.
+    axes is ((field, values), ...); the points are the product of the
+    values in input order, each cfg with those fields replaced, and each
+    row is the point's key followed by its statistics.  When N is the
+    only swept field and cfg.eta == 0, every point has the same time
+    grid, so S and Gamma are evaluated once, on the grid of the largest
+    N; otherwise each point resolves its own.  Each point's grid warnings
+    follow, prefixed by its key.
     """
-    if not points:
-        raise ValidationError("%s has no points to sweep" % meta["experiment"])
+    bath = bath if bath is not None else BathConfig()
+    fields = [f for f, _ in axes]
+    meta = _meta(experiment, cfg, bath, swept=fields, **{_VALUES[f]: list(v) for f, v in axes})
+    keys = list(itertools.product(*(v for _, v in axes)))
+    if not keys:
+        raise ValidationError("%s has no points to sweep" % experiment)
+    grid = None
+    if fields == ["N"] and cfg.eta == 0:
+        grid = _resolve_grid(replace(cfg, N=max(keys)[0]), bath, None, steps, tau_max, meta)
+    columns = tuple(_KEYS[f] for f in fields)
     rows = []
-    for key, c in points:
-        series = time_series(c, ens, bath, tau_max=tau_max, steps=steps, grid=grid)
+    for key in keys:
+        point = replace(cfg, **dict(zip(fields, key)))
+        series = time_series(point, ens, bath, tau_max=tau_max, steps=steps, grid=grid)
+        label = ", ".join("%s=%s" % kv for kv in zip(columns, key))
+        meta["warnings"].extend("%s: %s" % (label, w) for w in series.meta["warnings"])
         peak = peak_concurrence(series)
         col = collapse_time(series)
         rows.append(key + (peak.c_max, peak.tau_peak, col.tau_c, col.status))
-    columns = key_columns + ("c_max", "tau_peak", "tau_c", "status")
+    columns += ("c_max", "tau_peak", "tau_c", "status")
     return SweepResult(columns=columns, rows=rows, meta=meta)
 
 
@@ -298,65 +321,24 @@ def sweep_N(n_values, cfg, ens, bath=None, tau_max=None, steps=None):
     With eta = 0 every N shares the same time grid, so S and Gamma are
     evaluated once and reused.
     """
-    bath = bath if bath is not None else BathConfig()
     n_values = [_integer(n, "N") for n in n_values]
     if any(n < 2 for n in n_values):
         raise ValidationError("all N must be >= 2")
-    meta = {
-        "experiment": "sweep-n",
-        "kappa_c": cfg.kappa_c,
-        "kappa_l": cfg.kappa_l,
-        "eta": cfg.eta,
-        "epsilon": bath.epsilon,
-        "theta": bath.theta,
-        "n_values": list(n_values),
-        "warnings": [],
-    }
-    shared = None
-    if cfg.eta == 0 and n_values:
-        probe = replace(cfg, N=max(n_values))
-        shared = dephasing_grid(_resolve_grid(probe, bath, None, steps, tau_max, meta), bath)
-    points = [((n,), replace(cfg, N=n)) for n in n_values]
-    return _sweep(points, ("n",), meta, ens, bath, tau_max, steps, grid=shared)
+    return _sweep("sweep-n", (("N", n_values),), cfg, ens, bath, tau_max, steps)
 
 
 def sweep_kappa(kappa_values, cfg, ens, bath=None, tau_max=None, steps=None):
     """Peak and collapse statistics across collective coupling strengths."""
-    bath = bath if bath is not None else BathConfig()
     kappa_values = [float(k) for k in kappa_values]
     if any(k <= 0 for k in kappa_values):
         raise ValidationError("sweep_kappa requires positive couplings")
-    meta = {
-        "experiment": "sweep-kappa",
-        "n": cfg.N,
-        "kappa_l": cfg.kappa_l,
-        "eta": cfg.eta,
-        "epsilon": bath.epsilon,
-        "theta": bath.theta,
-        "kappa_values": list(kappa_values),
-        "warnings": [],
-    }
-    points = [((k,), replace(cfg, kappa_c=k)) for k in kappa_values]
-    return _sweep(points, ("kappa_c",), meta, ens, bath, tau_max, steps)
+    return _sweep("sweep-kappa", (("kappa_c", kappa_values),), cfg, ens, bath, tau_max, steps)
 
 
 def sweep_eta(eta_values, n_values, cfg, ens, bath=None, tau_max=None, steps=None):
     """Peak statistics across scaling exponents and spin counts."""
-    bath = bath if bath is not None else BathConfig()
-    eta_values = [float(e) for e in eta_values]
-    n_values = [_integer(n, "N") for n in n_values]
-    meta = {
-        "experiment": "sweep-eta",
-        "kappa_c": cfg.kappa_c,
-        "kappa_l": cfg.kappa_l,
-        "epsilon": bath.epsilon,
-        "theta": bath.theta,
-        "eta_values": list(eta_values),
-        "n_values": list(n_values),
-        "warnings": [],
-    }
-    points = [((e, n), replace(cfg, eta=e, N=n)) for e in eta_values for n in n_values]
-    return _sweep(points, ("eta", "n"), meta, ens, bath, tau_max, steps)
+    axes = (("eta", [float(e) for e in eta_values]), ("N", [_integer(n, "N") for n in n_values]))
+    return _sweep("sweep-eta", axes, cfg, ens, bath, tau_max, steps)
 
 
 def _product_states(spins1, spins2):
@@ -420,9 +402,9 @@ def grid_pv(
     for name, knob in (("gamma_l_knob", gamma_l_knob), ("gamma_c_knob", gamma_c_knob)):
         if not 0 <= knob < math.inf:
             raise ValidationError("%s must be finite and >= 0, got %r" % (name, knob))
-    meta = {"experiment": "grid-pv", "mode": mode, "warnings": []}
     if mode == "symmetric-pv":
-        meta.update({"s_knob": s_knob, "gamma_l_knob": gamma_l_knob, "gamma_c_knob": gamma_c_knob})
+        meta = {"experiment": "grid-pv", "mode": mode, "warnings": [], "s_knob": s_knob,
+                "gamma_l_knob": gamma_l_knob, "gamma_c_knob": gamma_c_knob}
         F = np.atleast_1d(*_factor_entries(s_knob, gamma_l_knob, gamma_c_knob))
 
         def cell(p, v):
@@ -434,18 +416,8 @@ def grid_pv(
     elif mode == "dynamic-corner":
         if cfg is None:
             raise ValidationError("dynamic-corner mode requires a CouplingConfig")
-        meta.update(
-            {
-                "kappa_c": cfg.kappa_c,
-                "kappa_l": cfg.kappa_l,
-                "eta": cfg.eta,
-                "n": cfg.N,
-                "epsilon": bath.epsilon,
-                "theta": bath.theta,
-                "background_p": ens_background,
-            }
-        )
-        grid = dephasing_grid(_resolve_grid(cfg, bath, None, steps, tau_max, meta), bath)
+        meta = _meta("grid-pv", cfg, bath, mode=mode, background_p=ens_background)
+        grid = _resolve_grid(cfg, bath, None, steps, tau_max, meta)
         probe = SpinInit(p=0.5, v=0.0)
         ens0 = EnsembleConfig(spin1=probe, spin2=probe, background_p=ens_background)
         F = _evolution_entries(grid.t, grid.S, grid.Gamma, cfg, ens0, "interaction")

@@ -352,6 +352,13 @@ class TestCsvOutput:
         cells = _data_lines(out)[1].split(",")
         assert math.isnan(float(cells[3]))
 
+    def test_sweep_reports_point_warnings(self, capsys):
+        code, out, _ = _run(capsys, ["sweep-kappa", "--steps", "50", "--kappa-values", "0.1,0.2"])
+        assert code == 0
+        line = next(ln for ln in out.splitlines() if ln.startswith("# info: warnings = "))
+        warnings = line[len("# info: warnings = "):].split("; ")
+        assert [w.split(": ", 1)[0] for w in warnings] == ["kappa_c=0.1", "kappa_c=0.2"]
+
 
 class TestBlockWriter:
     def test_blocks_match_fmt(self, monkeypatch, capsys):

@@ -238,7 +238,7 @@ class TestScreen:
         assert kept.any() and not kept.all()
         np.testing.assert_array_equal(got[kept], want[kept])
         assert np.all(got[~kept] == 0.0)
-        assert want[~kept].max() <= 2e-8
+        assert want[~kept].max() <= 1e-14
 
 
 def _roots(mu):
@@ -435,7 +435,7 @@ class TestFactoredScreen:
             rhos = cells[c] * F[start + t]
             assert np.all(_pt_det(rhos) >= 0.0)
             lam = _lambdas_stack(rhos)
-            assert (lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3]).max() <= 2e-8
+            assert (lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3]).max() <= 1e-14
 
     def test_badly_scaled_cells(self):
         # populations down to 1e-150 beside O(1) ones: LU's det error scales

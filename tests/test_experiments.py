@@ -1,5 +1,6 @@
 """Tests for the sweep drivers and series summaries."""
 
+from dataclasses import replace
 import math
 import tracemalloc
 
@@ -308,6 +309,113 @@ class TestSweeps:
         res = sweep_N([n], cfg, std_ens, bath, steps=50)
         assert res.rows == sweep_N([8], cfg, std_ens, bath, steps=50).rows
         assert type(res.rows[0][0]) is int
+
+
+class TestSweepWarnings:
+    """A sweep reports each point's grid warnings, prefixed by the point's key."""
+
+    def test_sweep_kappa_keeps_point_warnings(self, std_ens):
+        cfg = CouplingConfig(kappa_c=0.2, N=2)
+        res = sweep_kappa([0.1, 0.2], cfg, std_ens, steps=50)
+        want = [
+            "kappa_c=%s: %s" % (k, w)
+            for k in (0.1, 0.2)
+            for w in time_series(replace(cfg, kappa_c=k), std_ens, steps=50).meta["warnings"]
+        ]
+        assert any("exceeds a tenth of the background peak width" in w for w in want)
+        assert res.meta["warnings"] == want
+
+    @pytest.mark.parametrize(
+        "sweep,prefix",
+        [
+            (lambda cfg, ens: sweep_eta([0.3], [3000], cfg, ens), "eta=0.3, n=3000: "),
+            (lambda cfg, ens: sweep_N([3000], replace(cfg, eta=0.3), ens), "n=3000: "),
+        ],
+        ids=["sweep_eta", "sweep_N-eta"],
+    )
+    def test_per_point_grids_keep_step_cap(self, std_ens, sweep, prefix):
+        cfg = CouplingConfig(kappa_c=0.2, N=2)
+        res = sweep(cfg, std_ens)
+        single = time_series(CouplingConfig(kappa_c=0.2, eta=0.3, N=3000), std_ens)
+        assert single.meta["warnings"][0].startswith("auto step cap reached")
+        assert res.meta["warnings"] == [prefix + w for w in single.meta["warnings"]]
+
+    def test_shared_grid_warns_once(self, std_ens):
+        # eta = 0: the points share the grid of the largest N, which warns once, unprefixed
+        res = sweep_N([3000], CouplingConfig(kappa_c=0.2, N=2), std_ens)
+        assert res.meta["warnings"][0].startswith("auto step cap reached")
+        single = time_series(CouplingConfig(kappa_c=0.2, N=3000), std_ens)
+        assert res.meta["warnings"] == single.meta["warnings"]
+
+
+class TestMeta:
+    """Each driver's meta dict, keys and values."""
+
+    BATH = BathConfig(epsilon=2.0, theta=0.5)
+
+    def _fixed(self, **extra):
+        return dict(epsilon=2.0, theta=0.5, warnings=[], **extra)
+
+    def test_time_series(self, std_ens):
+        cfg = CouplingConfig(kappa_c=0.1, kappa_l=0.2, eta=0.1, N=4)
+        ts = time_series(cfg, std_ens, self.BATH, tau_max=1.0)
+        t_max = 1.0 / ((0.1 / 4**0.1) ** 2 * self.BATH.nu_c)
+        assert ts.meta == self._fixed(
+            experiment="timeseries", kappa_c=0.1, kappa_l=0.2, eta=0.1, n=4, steps=4000,
+            t_max=pytest.approx(t_max, rel=1e-14),
+        )
+
+    @pytest.mark.parametrize("eta", [0.0, 0.3], ids=["shared-grid", "per-point-grids"])
+    def test_sweep_n(self, std_ens, eta):
+        cfg = CouplingConfig(kappa_c=0.05, kappa_l=0.1, eta=eta, N=7)
+        res = sweep_N([6, 4], cfg, std_ens, self.BATH, tau_max=1.0)
+        assert res.meta == self._fixed(
+            experiment="sweep-n", kappa_c=0.05, kappa_l=0.1, eta=eta, n_values=[6, 4]
+        )
+
+    def test_sweep_kappa(self, std_ens):
+        cfg = CouplingConfig(kappa_c=0.3, kappa_l=0.1, eta=0.2, N=4)
+        res = sweep_kappa([0.2, 0.1], cfg, std_ens, self.BATH, tau_max=1.0)
+        assert res.meta == self._fixed(
+            experiment="sweep-kappa", kappa_l=0.1, eta=0.2, n=4, kappa_values=[0.2, 0.1]
+        )
+
+    def test_sweep_eta(self, std_ens):
+        cfg = CouplingConfig(kappa_c=0.2, kappa_l=0.1, eta=0.7, N=9)
+        res = sweep_eta([0.5, 0.0], [6, 4], cfg, std_ens, self.BATH, tau_max=1.0)
+        assert res.meta == self._fixed(
+            experiment="sweep-eta", kappa_c=0.2, kappa_l=0.1, eta_values=[0.5, 0.0],
+            n_values=[6, 4],
+        )
+
+    def _argmax(self, res):
+        best = max((r for r in res.rows if not r[3]), key=lambda r: r[2])
+        return {"argmax": (best[0], best[1]), "c_max": best[2]}
+
+    def test_grid_pv_symmetric(self):
+        res = grid_pv([0.0, 0.5], [0.1, 0.5], s_knob=1.1, gamma_l_knob=0.2, gamma_c_knob=0.3)
+        assert res.meta == {
+            "experiment": "grid-pv", "mode": "symmetric-pv", "warnings": [], "s_knob": 1.1,
+            "gamma_l_knob": 0.2, "gamma_c_knob": 0.3, **self._argmax(res),
+        }
+
+    def test_grid_pv_dynamic_corner(self):
+        cfg = CouplingConfig(kappa_c=0.05, kappa_l=0.1, eta=0.2, N=8)
+        res = grid_pv([0.0, 0.5], [0.1, 0.5], mode="dynamic-corner", cfg=cfg,
+                      ens_background=0.4, bath=self.BATH, tau_max=1.0)
+        assert res.meta == self._fixed(
+            experiment="grid-pv", mode="dynamic-corner", kappa_c=0.05, kappa_l=0.1, eta=0.2,
+            n=8, background_p=0.4, **self._argmax(res),
+        )
+
+    def test_limits_compare(self):
+        spin = SpinInit(p=0.5, v=0.48)
+        res = limits_compare(0.1, [100], 30.0, spin, spin, kappa_c=0.2, kappa_l=0.1,
+                             background_p=0.4, bath=self.BATH)
+        assert res.meta == self._fixed(
+            experiment="limits", eta=0.1, t=30.0, kappa_c=0.2, kappa_l=0.1, background_p=0.4,
+            regime="small-eta",
+        )
 
 
 class TestGridPV:

@@ -2,7 +2,7 @@
 
     python3 tools/cli_bodies.py OUTDIR
 
-Runs twelve `dephasim` commands that cover every subcommand that computes
+Runs fifteen `dephasim` commands that cover every subcommand that computes
 a study, with the package imported from this checkout's src/.  Each
 command runs in OUTDIR and writes its body there with a relative
 --output, so the path recorded in the body's configuration header is the
@@ -27,8 +27,11 @@ BODIES = (
     ("timeseries.json", ["timeseries", "--n", "4", "--format", "json"]),
     ("timeseries-100000.csv", ["timeseries", "--n", "4", "--kappa-c", "0.05", "--steps", "100000"]),
     ("sweep-n.csv", ["sweep-n"]),
+    ("sweep-n-eta.csv", ["sweep-n", "--eta", "0.3", "--n-max", "40"]),
     ("sweep-kappa.csv", ["sweep-kappa"]),
+    ("sweep-kappa-steps50.csv", ["sweep-kappa", "--steps", "50"]),
     ("sweep-eta.csv", ["sweep-eta"]),
+    ("sweep-eta.json", ["sweep-eta", "--format", "json"]),
     ("grid-pv-symmetric.csv", ["grid-pv", "--mode", "symmetric-pv"]),
     ("grid-pv-symmetric-knobs.csv", ["grid-pv", "--mode", "symmetric-pv", "--s-knob", "1.1",
                                      "--gamma-l-knob", "0.2", "--gamma-c-knob", "0.3"]),
