@@ -133,37 +133,29 @@ _REQUIRED = {"fit": ("input",)}
 
 
 def _convert(name, tag, raw):
+    # raw is a flag's or a config file's text; defaults are not converted
+    raw = raw.strip()
     try:
-        if isinstance(raw, str):
-            raw = raw.strip()
         if tag == "float":
             return float(raw)
         if tag == "int":
-            return int(str(raw), 10)
+            return int(raw, 10)
         if tag == "str":
-            return str(raw)
+            return raw
         if tag == "maybe_int":
-            if raw is None or str(raw).lower() in ("auto", "none"):
-                return None
-            return int(str(raw), 10)
+            return None if raw.lower() in ("auto", "none") else int(raw, 10)
         if tag == "maybe_float":
-            if raw is None or str(raw).lower() in ("auto", "none"):
-                return None
-            return float(raw)
+            return None if raw.lower() in ("auto", "none") else float(raw)
         if tag == "floats":
-            if isinstance(raw, (list, tuple)):
-                return [float(x) for x in raw]
-            return [float(x) for x in str(raw).split(",") if x.strip()]
+            return [float(x) for x in raw.split(",") if x.strip()]
         if tag == "ints":
-            if isinstance(raw, (list, tuple)):
-                return [int(x) for x in raw]
-            return [int(x, 10) for x in str(raw).split(",") if x.strip()]
+            return [int(x, 10) for x in raw.split(",") if x.strip()]
         if tag.startswith("choice:"):
             choices = tag.split(":", 1)[1].split(",")
-            if str(raw) not in choices:
+            if raw not in choices:
                 raise ValueError("must be one of %s" % ", ".join(choices))
-            return str(raw)
-    except (TypeError, ValueError) as exc:
+            return raw
+    except ValueError as exc:
         raise ValidationError("invalid value for %s: %s" % (name, exc)) from exc
     raise ValidationError("unknown option type %r" % (tag,))
 

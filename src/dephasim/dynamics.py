@@ -35,9 +35,10 @@ promise; and no (T, 4, 4) stack of factors or states is built on the
 way to the concurrence.  evolve_series packs its states into a stack
 only for callers that want one.
 
-For N -> infinity at fixed t the matrix tends to an X form when
-0 < eta < 1/4 (all P_N suppressed coherences vanish) and to a product of
-single spin factors when eta > 1/4, both of which are separable.
+For N -> infinity at fixed t, kappa = kappa_c / N^eta -> 0 and the state
+tends to rho0 o F at kappa = 0 with P_N, tilde_P_N -> 0 when
+0 < eta < 1/4 (an X form) and -> P_inf, P_inf^2 when eta > 1/4 (a
+product of single spin factors), both of which are separable.
 """
 
 from dataclasses import dataclass
@@ -150,13 +151,16 @@ class EnsembleConfig:
     omega2: float = 0.0
 
     def __post_init__(self):
-        ps = np.atleast_1d(np.asarray(self.background_p, dtype=float))
+        ps = self._populations()
         # a NaN fails both comparisons, so it is caught here too
         if not np.all((ps >= 0) & (ps <= 1)):
             raise ValidationError("background populations must be finite and lie in [0, 1]")
 
+    def _populations(self):
+        return np.atleast_1d(np.asarray(self.background_p, dtype=float))
+
     def background_array(self, N):
-        ps = np.atleast_1d(np.asarray(self.background_p, dtype=float))
+        ps = self._populations()
         if ps.size == 1:
             return np.full(N - 2, ps[0])
         if ps.size != N - 2:
@@ -167,7 +171,7 @@ class EnsembleConfig:
 
     @property
     def homogeneous_background(self):
-        ps = np.atleast_1d(np.asarray(self.background_p, dtype=float))
+        ps = self._populations()
         return ps.size <= 1 or bool(np.all(ps == ps[0]))
 
 
@@ -304,52 +308,44 @@ def evolve(rho0, t, cfg, ens, bath=None, frame="interaction"):
     return _states(rho0, entries)[0]
 
 
+def _limit_state(t, s1, s2, cfg, bath, P):
+    """rho0 o F at kappa = 0, with P_N -> P and tilde_P_N -> P^2."""
+    entries = _factor_entries(0.0, cfg.kappa_l**2 * float(decay_Gamma(t, bath)), 0.0, P, P**2)
+    return _states(initial_two_qubit(s1, s2), np.atleast_1d(*entries))[0]
+
+
 def limit_state_small_eta(t, s1, s2, cfg, bath=None):
     """N -> infinity state for 0 < eta < 1/4: the X form.
 
-    Only the populations and the (2,3) coherence survive; the latter
-    carries the local decay e^{-2 kappa_l^2 Gamma_l(t)}.
+    It is rho0 o F at kappa = 0 with P_N, tilde_P_N -> 0: only the
+    populations and the (2,3) coherence survive, the latter with the
+    local decay F_23 = e^{-2 kappa_l^2 Gamma_l(t)}, as at finite N.
     """
     bath = bath if bath is not None else BathConfig()
-    d = math.exp(-2.0 * cfg.kappa_l**2 * decay_Gamma(t, bath))
-    p1, v1 = s1.p, s1.v
-    p2, v2 = s2.p, s2.v
-    rho = np.zeros((4, 4), dtype=complex)
-    rho[0, 0] = p1 * p2
-    rho[1, 1] = p1 * (1.0 - p2)
-    rho[2, 2] = (1.0 - p1) * p2
-    rho[3, 3] = (1.0 - p1) * (1.0 - p2)
-    rho[1, 2] = v1 * np.conj(v2) * d
-    rho[2, 1] = np.conj(rho[1, 2])
-    return rho
+    return _limit_state(t, s1, s2, cfg, bath, 0.0)
 
 
 def limit_state_large_eta(t, s1, s2, cfg, ens, bath=None):
     """N -> infinity state for eta > 1/4: a product of dressed factors.
 
-    Each factor keeps its populations and carries the off diagonal
-    v_j D_l(t) P_inf(t) with D_l = e^{-kappa_l^2 Gamma_l} and
-    P_inf = e^{-i kappa_c^2 S (1 - 2p) N^{1 - 2 eta}}; the doubled factor
-    obeys tilde_P_inf = P_inf^2, which the product form realizes
-    automatically.  For background p = 1/2 the phase P_inf is absent, and
-    with no background spins (N = 2) P_inf = 1, as is P_N.
+    It is rho0 o F at kappa = 0 with P_N -> P_inf and tilde_P_N ->
+    P_inf^2, where P_inf = e^{-i kappa_c^2 S (1 - 2p) N^{1 - 2 eta}}.  Each
+    single spin factor keeps its populations and carries the off diagonal
+    v_j D_l(t) P_inf(t) with D_l = e^{-kappa_l^2 Gamma_l}; rho_23 carries
+    D_l^2 alone, as at finite N.  For background p = 1/2 the phase P_inf
+    is absent, and with no background spins (N = 2) P_inf = 1, as is P_N.
     """
     bath = bath if bath is not None else BathConfig()
     if not ens.homogeneous_background:
         raise ValidationError("the large-eta limit requires a homogeneous background")
     ps = ens.background_array(cfg.N)
-    D = math.exp(-cfg.kappa_l**2 * decay_Gamma(t, bath))
     P_inf = 1.0
     if ps.size:
         P_inf = np.exp(
             -1j * cfg.kappa_c**2 * phase_S(t, bath) * (1.0 - 2.0 * float(ps[0]))
             * cfg.N ** (1.0 - 2.0 * cfg.eta)
         )
-    factors = []
-    for s in (s1, s2):
-        off = s.v * D * P_inf
-        factors.append(np.array([[s.p, off], [np.conj(off), 1.0 - s.p]], dtype=complex))
-    return np.kron(factors[0], factors[1])
+    return _limit_state(t, s1, s2, cfg, bath, P_inf)
 
 
 def tau_of_t(t, cfg, bath=None):

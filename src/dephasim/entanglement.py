@@ -111,7 +111,8 @@ Leibniz expansion factors:
 
 _pt_terms gives the 24 products of a block of entry arrays in real
 ufuncs: per row of _LAPLACE, each product of the minor of rows 0-1 times
-each of rows 2-3 (three complex products per term).  _certified_separable
+each of rows 2-3 (three complex products per term; _pt_minors gives the
+minor products, as for the Laplace screen).  _certified_separable
 contracts the terms of T factors (the entry arrays of 1 o F) with those
 of C cells in one (T x 48) (48 x C) real einsum (real and imaginary parts
 packed), with the signs _SIGN on the factors' side alone: on both sides
@@ -440,6 +441,18 @@ _LAPLACE = (
 _SIGN = np.array([s * u * v for *_, s in _LAPLACE for u in (1.0, -1.0) for v in (1.0, -1.0)])
 
 
+def _pt_minors(E):
+    """Per row of _LAPLACE: its sign, and the two products of each rho^{T_B} minor.
+
+    tops are those of rows 0-1, bots of rows 2-3; a minor is the first less the second.
+    """
+    A = [[_pt_entry(E, r, c) for c in range(4)] for r in range(4)]
+    for c1, c2, c3, c4, sign in _LAPLACE:
+        tops = _mul(A[0][c1], A[1][c2]), _mul(A[0][c2], A[1][c1])
+        bots = _mul(A[2][c3], A[3][c4]), _mul(A[2][c4], A[3][c3])
+        yield sign, tops, bots
+
+
 def _norm2(E):
     """||rho||_F^2 of each state of a block of entry arrays."""
     norm2 = 0.0
@@ -456,12 +469,9 @@ def _pt_laplace(E):
     minors of rows 0-1 and rows 2-3; the band is BAND ||rho||_F^4 + _FLOOR
     (see the module docstring).
     """
-    A = [[_pt_entry(E, r, c) for c in range(4)] for r in range(4)]
     det = 0.0
-    for c1, c2, c3, c4, sign in _LAPLACE:
-        top = _sub(_mul(A[0][c1], A[1][c2]), _mul(A[0][c2], A[1][c1]))
-        bot = _sub(_mul(A[2][c3], A[3][c4]), _mul(A[2][c4], A[3][c3]))
-        (a, b), (c, d) = top, bot
+    for sign, tops, bots in _pt_minors(E):
+        (a, b), (c, d) = _sub(*tops), _sub(*bots)
         term = a * c if b is None or d is None else a * c - b * d
         det = det + term if sign > 0 else det - term
     norm2 = _norm2(E)
@@ -504,12 +514,7 @@ def _pt_terms(E):
     Returns a (n, 48) array: their real parts, then their imaginary parts,
     each in the order of _SIGN.
     """
-    A = [[_pt_entry(E, r, c) for c in range(4)] for r in range(4)]
-    terms = []
-    for c1, c2, c3, c4, _ in _LAPLACE:
-        tops = _mul(A[0][c1], A[1][c2]), _mul(A[0][c2], A[1][c1])
-        bots = _mul(A[2][c3], A[3][c4]), _mul(A[2][c4], A[3][c3])
-        terms += [_mul(top, bot) for top in tops for bot in bots]
+    terms = [_mul(top, bot) for _, tops, bots in _pt_minors(E) for top in tops for bot in bots]
     zero = np.zeros(len(E[0, 0][0]))
     return np.stack([re for re, _ in terms] + [zero if im is None else im for _, im in terms], 1)
 

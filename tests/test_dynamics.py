@@ -453,6 +453,26 @@ class TestLimits:
         with pytest.raises(ValidationError):
             limit_state_large_eta(t, s1, s2, replace(cfg, N=10), short, bath=bath)
 
+    @pytest.mark.parametrize("eta", [0.1, 0.4])
+    def test_shares_finite_n_bits(self, eta):
+        # the populations and rho_23 do not depend on P_N, so finite N and
+        # the limit must agree to the last bit there
+        bath = BathConfig()
+        s1 = SpinInit(p=0.55, v=0.4)
+        s2 = SpinInit(p=0.35, v=0.3j)
+        ens = EnsembleConfig(spin1=s1, spin2=s2, background_p=0.3)
+        rho0 = initial_two_qubit(s1, s2)
+        for kappa_l in (0.1, 0.3, 0.7, 1.3):
+            cfg = CouplingConfig(kappa_c=0.2, kappa_l=kappa_l, eta=eta, N=1000)
+            for t in (1.0, 5.0, 12.0, 30.0, 77.7):
+                rho = evolve(rho0, t, cfg, ens, bath)
+                if eta < 0.25:
+                    lim = limit_state_small_eta(t, s1, s2, cfg, bath=bath)
+                else:
+                    lim = limit_state_large_eta(t, s1, s2, cfg, ens, bath=bath)
+                assert np.all(np.diag(rho) == np.diag(lim))
+                assert rho[1, 2] == lim[1, 2] and rho[2, 1] == lim[2, 1]
+
     @pytest.mark.parametrize("eta", [0.1, 0.5])
     def test_finite_n_converges(self, eta):
         bath = BathConfig()

@@ -2,7 +2,7 @@
 
     python3 tools/cli_bodies.py OUTDIR
 
-Runs fifteen `dephasim` commands that cover every subcommand that computes
+Runs seventeen `dephasim` commands that cover every subcommand that computes
 a study, with the package imported from this checkout's src/.  Each
 command runs in OUTDIR and writes its body there with a relative
 --output, so the path recorded in the body's configuration header is the
@@ -39,6 +39,9 @@ BODIES = (
     ("grid-pv-corner-n8.csv", ["grid-pv", "--mode", "dynamic-corner", "--n", "8",
                                "--kappa-l", "0.1", "--eta", "0.2"]),
     ("limits.csv", ["limits"]),
+    ("limits-kappa-l.csv", ["limits", "--kappa-l", "0.1"]),
+    ("limits-large-eta.csv", ["limits", "--eta", "0.4", "--kappa-l", "0.1",
+                              "--background-p", "0.3"]),
 )
 
 
