@@ -269,6 +269,14 @@ def _json_cells(part):
     return [_JSON.encode(x).replace("\n", "\n      ") for x in part]
 
 
+def _blocks(data, cells):
+    """Per _BLOCK_ROWS rows of data, the rows' texts; a column listed twice is formatted once."""
+    unique = {id(col): col for col in data}
+    for start in range(0, len(data[0]), _BLOCK_ROWS):
+        texts = {key: cells(col[start:start + _BLOCK_ROWS]) for key, col in unique.items()}
+        yield zip(*(texts[id(col)] for col in data))
+
+
 def _json_chunks(columns, data, config, info):
     """json.dumps(body, sort_keys=True, indent=2, default=_fmt) + "\n", streamed by rows.
 
@@ -278,17 +286,13 @@ def _json_chunks(columns, data, config, info):
     meta = {"tool": "dephasim %s" % __version__, "config": config, "info": info,
             "columns": list(columns)}
     head = '{\n  "meta": %s,\n  "rows": ' % _JSON.encode(meta).replace("\n", "\n  ")
-    n_rows = len(data[0]) if data else 0
-    if not n_rows:
+    if not data or not len(data[0]):
         yield head + "[]\n}\n"
         return
     yield head + "["
-    unique = {id(col): col for col in data}
-    for start in range(0, n_rows, _BLOCK_ROWS):
-        cells = {key: _json_cells(col[start:start + _BLOCK_ROWS]) for key, col in unique.items()}
-        rows = map(",\n      ".join, zip(*(cells[id(col)] for col in data)))
-        text = "\n    ],\n    [\n      ".join(rows)
-        yield "%s\n    [\n      %s\n    ]" % ("," if start else "", text)
+    for k, rows in enumerate(_blocks(data, _json_cells)):
+        text = "\n    ],\n    [\n      ".join(map(",\n      ".join, rows))
+        yield "%s\n    [\n      %s\n    ]" % ("," if k else "", text)
     yield "\n  ]\n}\n"
 
 
@@ -301,11 +305,8 @@ def _csv_chunks(columns, data, config, info):
         lines.append("# info: %s = %s" % (key, _fmt(info[key])))
     lines.append(",".join(columns))
     yield "\n".join(lines) + "\n"
-    # a column object listed twice (gamma_l and gamma_c) is formatted once
-    unique = {id(col): col for col in data}
-    for start in range(0, len(data[0]), _BLOCK_ROWS):
-        cells = {key: _cells(col[start:start + _BLOCK_ROWS]) for key, col in unique.items()}
-        yield "\n".join(map(",".join, zip(*(cells[id(col)] for col in data)))) + "\n"
+    for rows in _blocks(data, _cells):
+        yield "\n".join(map(",".join, rows)) + "\n"
 
 
 def emit(columns, data, config, info, fmt, path):

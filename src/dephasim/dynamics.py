@@ -155,6 +155,9 @@ class EnsembleConfig:
         # a NaN fails both comparisons, so it is caught here too
         if not np.all((ps >= 0) & (ps <= 1)):
             raise ValidationError("background populations must be finite and lie in [0, 1]")
+        w1, w2 = float(self.omega1), float(self.omega2)  # overflow gives inf, not a warning
+        if not all(map(math.isfinite, (w1, w2, w1 + w2, w1 - w2))):
+            raise ValidationError("omega1, omega2 and omega1 +- omega2 must be finite")
 
     def _populations(self):
         return np.atleast_1d(np.asarray(self.background_p, dtype=float))
@@ -247,6 +250,10 @@ def _evolution_entries(t, S, Gamma, cfg, ens, frame, P=None):
     if frame == "lab":
         w1, w2 = ens.omega1, ens.omega2
         ws = (w2, w1, w1 + w2, w1 - w2, w1, w2)
+        # |w t| peaks at the largest |w| and |t|; Python floats overflow with no warning
+        t_max = float(np.abs(t).max(initial=0.0))
+        if not math.isfinite(max(abs(float(w)) for w in ws) * t_max):
+            raise ValidationError("omega t must be finite in the lab frame, t up to %r" % t_max)
         entries = tuple(f * np.exp(1j * w * t) for f, w in zip(entries, ws))
     return entries
 
@@ -260,18 +267,17 @@ def _evolved(rho0, entries):
     real multiply or subtract is correctly rounded in every numpy loop, so
     a state's bits do not depend on its place in the block, and numpy's
     complex multiply, which rounds its real part in its own way, is not
-    used on the states.  The diagonal is rho0's, as F_ii = 1.
+    used on the states.  The diagonal is rho0's, as F_ii = 1, with zeros as
+    its im, and a real F_ij is read with zeros as its im.
     """
     n = len(entries[0])
-    E = {(i, i): (np.full(n, rho0[..., i, i].real), None) for i in range(4)}
+    zero = np.zeros(n)  # shared by the four diagonal entries: entry arrays are never written
+    E = {(i, i): (np.full(n, rho0[..., i, i].real), zero) for i in range(4)}
     for i, j, f in zip(*_IU, entries):
         a, b = rho0[..., i, j].real, rho0[..., i, j].imag
-        if np.iscomplexobj(f):
-            c, d = f.real, f.imag
-            E[j, i] = a * c - b * d, (-a) * d - b * c
-        else:
-            E[j, i] = a * f, (-b) * f
-    if not all(np.isfinite(x).all() for pair in E.values() for x in pair if x is not None):
+        c, d = f.real, f.imag
+        E[j, i] = a * c - b * d, (-a) * d - b * c
+    if not all(np.isfinite(x).all() for pair in E.values() for x in pair):
         raise NumericalError("evolution produced non-finite matrix entries")
     return E
 

@@ -67,8 +67,9 @@ recomputed at 50 digits.
 
 A block of n states travels as entry arrays: a dict E with
 E[i, j] = (re, im) for i >= j, two contiguous (n,) float arrays holding
-rho[i, j]; the diagonal is real and its im is None, and the upper
-triangle is the conjugate of the lower, the part eigh reads.  dynamics
+rho[i, j], zeros as the diagonal's im; the upper triangle is the
+conjugate of the lower, the part eigh reads.  Only the screens take an
+entry as real: _pt_entry gives rho^{T_B}'s diagonal as (re, None).  dynamics
 forms evolved states and factors in this form, so no experiments driver
 builds a (T, 4, 4) stack of factors or states; concurrence_series and
 concurrence unpack their stacks into it once (_entries), and only the
@@ -229,33 +230,30 @@ def _entries(rhos):
     does not always do, and it scores NaN.
     """
     E = {
-        (i, j): (rhos.real[:, i, j].copy(), rhos.imag[:, i, j].copy() if i > j else None)
+        (i, j): (rhos.real[:, i, j].copy(), rhos.imag[:, i, j].copy() if i > j else np.zeros(len(rhos)))
         for i in range(4)
         for j in range(i + 1)
     }
     bad = ~np.isfinite(rhos).all(axis=(1, 2))
     if bad.any():
-        for part in (x for pair in E.values() for x in pair if x is not None):
+        for part in (x for pair in E.values() for x in pair):
             part[bad] = np.nan
     return E
 
 
 def _take(E, idx):
     """Entry arrays of the states idx of a block."""
-    return {key: (re[idx], None if im is None else im[idx]) for key, (re, im) in E.items()}
+    return {key: (re[idx], im[idx]) for key, (re, im) in E.items()}
 
 
 def _pack(E):
     """The (n, 4, 4) stack of a block of entry arrays."""
     rho = np.empty((len(E[0, 0][0]), 4, 4), dtype=complex)
     for (i, j), (re, im) in E.items():
-        rho.real[:, i, j] = re
-        if im is None:
-            rho.imag[:, i, i] = 0.0
-        else:
-            rho.real[:, j, i] = re
-            rho.imag[:, i, j] = im
-            np.negative(im, out=rho.imag[:, j, i])
+        rho.real[:, i, j] = rho.real[:, j, i] = re
+        # on the diagonal the second write wins: +0.0, not -0.0
+        np.negative(im, out=rho.imag[:, j, i])
+        rho.imag[:, i, j] = im
     return rho
 
 
@@ -311,12 +309,9 @@ def _pivoted(E, tol):
     """
     m = len(tol)
     at = np.arange(m)
-    # rho[r, p] at a per-state column p, gathered from a (4, 4, m) copy
-    re, im = np.empty((4, 4, m)), np.empty((4, 4, m))
-    for (i, j), (x, y) in E.items():
-        re[i, j] = re[j, i] = x
-        im[i, j], im[j, i] = (0.0, 0.0) if y is None else (y, -y)
-    d = re[range(4), range(4)]  # the remaining diagonal (a copy)
+    # rho[r, p] at a per-state column p, gathered from a (4, 4, m) view
+    rho = np.moveaxis(_pack(E), 0, -1)
+    d = rho.real[range(4), range(4)]  # the remaining diagonal (a copy)
     left = np.ones((4, m), dtype=bool)  # rows not yet pivoted
     Wre, Wim = np.zeros((4, 4, m)), np.zeros((4, 4, m))
     live = np.ones(m, dtype=bool)
@@ -329,7 +324,7 @@ def _pivoted(E, tol):
         Wp = [(Wre[p, k, at], Wim[p, k, at]) for k in range(j)]
         for r in range(4):
             # rho[r, p] - sum_k W[r, k] conj(W[p, k])
-            x, y = re[r, p, at], im[r, p, at]
+            x, y = rho.real[r, p, at], rho.imag[r, p, at]
             for k, (c, e) in enumerate(Wp):
                 a, b = Wre[r, k], Wim[r, k]
                 x = x - (a * c + b * e)
@@ -383,9 +378,7 @@ def _lambdas(E):
     n = len(E[0, 0][0])
     finite = np.ones(n, dtype=bool)
     for re, im in E.values():
-        finite &= np.isfinite(re)
-        if im is not None:
-            finite &= np.isfinite(im)
+        finite &= np.isfinite(re) & np.isfinite(im)
     L, ok, tol = _cholesky(E)
     ok &= finite
     mu = np.full((n, 4), np.nan)
@@ -399,7 +392,7 @@ def _lambdas(E):
 
 
 def _mul(x, y):
-    """x y for entries given as (re, im) pairs, im None for a real entry."""
+    """x y for (re, im) pairs; im is None only on the diagonal of rho^{T_B} (_pt_entry)."""
     (a, b), (c, d) = x, y
     if b is None and d is None:
         return a * c, None
@@ -409,18 +402,18 @@ def _mul(x, y):
 
 
 def _sub(x, y):
-    """x - y for entries given as (re, im) pairs, im None for a real entry."""
+    """x - y for (re, im) pairs; x may be real (_mul), y holds an off-diagonal factor."""
     (a, b), (c, d) = x, y
-    if d is None:
-        return a - c, b
     return a - c, (-d if b is None else b - d)
 
 
 def _pt_entry(E, r, c):
-    """rho^{T_B}[r, c] of a block of entry arrays, as an (re, im) pair."""
+    """rho^{T_B}[r, c] of a block of entry arrays, as an (re, im) pair; (re, None) if r == c."""
+    if r == c:
+        return E[r, r][0], None
     # T_B swaps the second qubit's indices: [2a + b, 2a' + b'] <- [2a + b', 2a' + b]
     i, j = (r & 2) | (c & 1), (c & 2) | (r & 1)
-    if i >= j:
+    if i > j:
         return E[i, j]
     re, im = E[j, i]
     return re, -im
@@ -456,8 +449,8 @@ def _pt_minors(E):
 def _norm2(E):
     """||rho||_F^2 of each state of a block of entry arrays."""
     norm2 = 0.0
-    for re, im in E.values():
-        norm2 = norm2 + (re * re if im is None else 2.0 * (re * re + im * im))
+    for (i, j), (re, im) in E.items():
+        norm2 = norm2 + (re * re if i == j else 2.0 * (re * re + im * im))
     return norm2
 
 
@@ -472,7 +465,7 @@ def _pt_laplace(E):
     det = 0.0
     for sign, tops, bots in _pt_minors(E):
         (a, b), (c, d) = _sub(*tops), _sub(*bots)
-        term = a * c if b is None or d is None else a * c - b * d
+        term = a * c - b * d
         det = det + term if sign > 0 else det - term
     norm2 = _norm2(E)
     return det, BAND * (norm2 * norm2) + _FLOOR
@@ -512,7 +505,7 @@ def _pt_terms(E):
     """The 24 Leibniz products prod_i rho^{T_B}[i, sigma_i] of a block of entry arrays.
 
     Returns a (n, 48) array: their real parts, then their imaginary parts,
-    each in the order of _SIGN.
+    each in the order of _SIGN; the real product of the diagonal gets zeros.
     """
     terms = [_mul(top, bot) for _, tops, bots in _pt_minors(E) for top in tops for bot in bots]
     zero = np.zeros(len(E[0, 0][0]))
@@ -530,8 +523,7 @@ def _certified_separable(cells, F):
     # Re(c f) = Re c Re f - Im c Im f; the sign goes on one side only
     det = np.einsum("tk,ck->tc", np.concatenate([_SIGN, -_SIGN]) * _pt_terms(F), _pt_terms(cells))
     # ||cells[c] o F[t]||_F^4 <= ||cells[c]||_F^4 max|F[t]|^4, and F_ii = 1
-    max2_F = np.maximum.reduce([re * re if im is None else re * re + im * im
-                                for re, im in F.values()])
+    max2_F = np.maximum.reduce([re * re + im * im for re, im in F.values()])
     bound = np.multiply.outer(max2_F * max2_F, BAND * _norm2(cells) ** 2)
     bound += _FLOOR
     return det > bound

@@ -70,7 +70,6 @@ __all__ = [
 TAU_WINDOW = 2.0 * math.pi
 COLLAPSE_FLOOR = 1e-6
 COLLAPSE_PERSISTENCE = 10
-SIGNIFICANCE_FLOOR = 1e-4
 DEFAULT_STEPS = 4000
 MAX_AUTO_STEPS = 20000
 

@@ -358,6 +358,23 @@ class TestEvolve:
             r_lab[:, 0, 3], r_int[:, 0, 3] * np.exp(1j * (1.3 + 0.6) * t), atol=1e-15
         )
 
+    @pytest.mark.parametrize("omega1, omega2", [
+        (math.nan, 0.0), (0.0, math.inf), (1e308, 1e308), (-1e308, 1e308), (np.float64(1e308), 1e308),
+    ])
+    def test_non_finite_frequencies_rejected(self, omega1, omega2):
+        # a RuntimeWarning fails the test (pyproject.toml)
+        with pytest.raises(ValidationError, match="finite"):
+            self._setup(omega1=omega1, omega2=omega2)
+
+    @pytest.mark.parametrize("t", [1e10, 1e300])
+    def test_non_finite_lab_phase_rejected(self, t):
+        bath, cfg, ens = self._setup(omega1=1e300, omega2=0.5)
+        rho0 = initial_two_qubit(ens.spin1, ens.spin2)
+        with pytest.raises(ValidationError, match="finite"):
+            evolve(rho0, t, cfg, ens, bath=bath, frame="lab")
+        # the interaction frame has no free phases
+        evolve(rho0, t, cfg, ens, bath=bath)
+
     def test_invalid_frame(self):
         bath, cfg, ens = self._setup()
         rho0 = initial_two_qubit(ens.spin1, ens.spin2)

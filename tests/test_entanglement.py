@@ -39,6 +39,7 @@ from dephasim.entanglement import (
     _pivoted,
     _pt_laplace,
     _pt_terms,
+    _take,
 )
 from dephasim.experiments import _clip_v, _product_states
 from oracle import _YY, _mp_concurrence, _mu_eigh
@@ -115,6 +116,62 @@ def _bell():
     psi = np.zeros(4, dtype=complex)
     psi[0] = psi[3] = 1.0 / math.sqrt(2.0)
     return np.outer(psi, psi.conj())
+
+
+class TestEntryArrays:
+    """Every entry of an entry array is a pair of (n,) float64 arrays."""
+
+    @staticmethod
+    def _assert_pairs(E, n):
+        assert sorted(E) == [(i, j) for i in range(4) for j in range(i + 1)]
+        for pair in E.values():
+            assert len(pair) == 2
+            for part in pair:
+                assert isinstance(part, np.ndarray) and part.dtype == np.float64
+                assert part.shape == (n,)
+
+    def test_entries_evolved_and_take_are_float_pairs(self):
+        rng = np.random.default_rng(11)
+        rhos = np.stack([_random_density(rng) for _ in range(5)])
+        E = _entries(rhos)
+        self._assert_pairs(E, 5)
+        self._assert_pairs(_take(E, np.array([4, 1])), 2)
+        # a real and a complex factor entry: F_23 = e^{-2 kl2Gl} is real
+        F = _factor_entries(np.linspace(0.0, 2.0, 3), np.full(3, 0.1), np.full(3, 0.2))
+        assert not np.iscomplexobj(F[3]) and np.iscomplexobj(F[0])
+        E = _evolved(rhos[0], F)
+        self._assert_pairs(E, 3)
+        for i in range(4):
+            assert not np.signbit(E[i, i][1]).any() and not E[i, i][1].any()
+
+    def test_pack_is_hermitian_completion_of_lower_triangle(self):
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=(6, 4, 4)) + 1j * rng.normal(size=(6, 4, 4))
+        # signed zeros below the diagonal; the upper triangle and the
+        # diagonal's imaginary part are not read
+        x[0, 2, 1] = complex(0.5, -0.0)
+        x[1, 3, 0] = complex(-0.0, 0.0)
+        expected = np.empty_like(x)
+        for i in range(4):
+            expected[:, i, i] = x.real[:, i, i]
+            for j in range(i):
+                expected[:, i, j] = x[:, i, j]
+                expected[:, j, i] = np.conj(x[:, i, j])
+        packed = _pack(_entries(x))
+        np.testing.assert_array_equal(packed.view(np.uint64), expected.view(np.uint64))
+        diag = packed.imag[:, range(4), range(4)]
+        assert not diag.any() and not np.signbit(diag).any()
+
+    def test_non_finite_state_reads_all_nan(self):
+        rng = np.random.default_rng(13)
+        x = np.stack([_random_density(rng) for _ in range(3)])
+        x[1, 0, 3] = np.inf  # in the upper triangle, which is not read
+        E = _entries(x)
+        good = _entries(x[[0, 2]])
+        for key, (re, im) in E.items():
+            assert np.isnan(re[1]) and np.isnan(im[1])
+            np.testing.assert_array_equal(re[[0, 2]], good[key][0])
+            np.testing.assert_array_equal(im[[0, 2]], good[key][1])
 
 
 class TestConcurrence:

@@ -2,7 +2,7 @@
 
     python3 tools/cli_bodies.py OUTDIR
 
-Runs seventeen `dephasim` commands that cover every subcommand that computes
+Runs nineteen `dephasim` commands that cover every subcommand that computes
 a study, with the package imported from this checkout's src/.  Each
 command runs in OUTDIR and writes its body there with a relative
 --output, so the path recorded in the body's configuration header is the
@@ -26,6 +26,8 @@ BODIES = (
     ("timeseries-n40-kappa-l.csv", ["timeseries", "--n", "40", "--kappa-l", "0.3"]),
     ("timeseries.json", ["timeseries", "--n", "4", "--format", "json"]),
     ("timeseries-100000.csv", ["timeseries", "--n", "4", "--kappa-c", "0.05", "--steps", "100000"]),
+    ("timeseries-negative-v.csv", ["timeseries", "--n", "6", "--p", "0.3", "--v", "-0.3",
+                                   "--background-p", "0.2", "--kappa-l", "0.2"]),
     ("sweep-n.csv", ["sweep-n"]),
     ("sweep-n-eta.csv", ["sweep-n", "--eta", "0.3", "--n-max", "40"]),
     ("sweep-kappa.csv", ["sweep-kappa"]),
@@ -42,6 +44,8 @@ BODIES = (
     ("limits-kappa-l.csv", ["limits", "--kappa-l", "0.1"]),
     ("limits-large-eta.csv", ["limits", "--eta", "0.4", "--kappa-l", "0.1",
                               "--background-p", "0.3"]),
+    ("limits-negative-v.csv", ["limits", "--p", "0.4", "--v", "-0.3", "--kappa-l", "0.2",
+                               "--eta", "0.4", "--background-p", "0.3"]),
 )
 
 
