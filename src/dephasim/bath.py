@@ -71,6 +71,7 @@ estimate above 1e-8 Gamma_inf raises QuadratureError.
 
 from dataclasses import dataclass
 import math
+import numbers
 
 import numpy as np
 from numpy.polynomial import legendre
@@ -105,6 +106,14 @@ _BOSE_CUT = 40.0
 _TAIL_TOL = 1e-8
 
 
+def _require_real(cfg, *names):
+    """ValidationError naming the first of cfg's fields that is not a real number."""
+    for name in names:
+        value = getattr(cfg, name)
+        if not isinstance(value, numbers.Real):
+            raise ValidationError("%s must be a real number, got %r" % (name, value))
+
+
 @dataclass(frozen=True)
 class BathConfig:
     """Thermal bath with the sqrt-cutoff form factor.
@@ -124,6 +133,7 @@ class BathConfig:
     theta: float = 1.0
 
     def __post_init__(self):
+        _require_real(self, "epsilon", "theta")
         if not all(0 < v < math.inf for v in (self.epsilon, self.theta, self.k_c)):
             raise ValidationError(
                 "epsilon, theta and epsilon*theta must be positive and finite, got %r, %r and %r"
@@ -193,6 +203,20 @@ def _bracket(x):
     return np.where(small, series, direct)
 
 
+def _times(t, cfg, name):
+    """t as a float array; ValidationError unless each t is finite and >= 0 and k_c t is finite."""
+    t = np.asarray(t, dtype=float)
+    if t.size:
+        lo, hi = float(t.min()), float(t.max())  # a NaN fails both tests
+        if not (lo >= 0 and hi < math.inf):
+            raise ValidationError("%s requires finite t >= 0" % name)
+        if cfg.k_c * hi == math.inf:
+            raise ValidationError(
+                "%s's input overflows: k_c * t = %r * %r is not finite" % (name, cfg.k_c, hi)
+            )
+    return t
+
+
 def phase_S(t, cfg=None):
     """Collective phase S(t), closed form.
 
@@ -200,12 +224,15 @@ def phase_S(t, cfg=None):
     S(0) = 0 and S(t) <= 0 for all t.
     """
     cfg = cfg if cfg is not None else BathConfig()
-    t = np.asarray(t, dtype=float)
-    if not np.all((t >= 0) & (t < math.inf)):
-        raise ValidationError("phase_S requires finite t >= 0")
-    out = -(cfg.k_c**2 / 2.0) * _bracket(cfg.k_c * t)
-    if not np.all(np.isfinite(out)):
-        raise NumericalError("phase_S produced a non-finite value")
+    t = _times(t, cfg, "phase_S")
+    bracket = _bracket(cfg.k_c * t)
+    scale = cfg.k_c**2 / 2.0
+    # the largest bracket gives the largest |S|, so one float product decides
+    if bracket.size and scale * float(bracket.max()) == math.inf:
+        raise ValidationError(
+            "phase_S's input overflows: |S| at t = %r is not finite" % (float(t.max()),)
+        )
+    out = -scale * bracket
     return out if out.ndim else float(out)
 
 
@@ -311,9 +338,7 @@ def decay_Gamma(t, cfg=None):
     Gamma(t) >= 0 everywhere.
     """
     cfg = cfg if cfg is not None else BathConfig()
-    arr = np.asarray(t, dtype=float)
-    if not np.all((arr >= 0) & (arr < math.inf)):
-        raise ValidationError("decay_Gamma requires finite t >= 0")
+    arr = _times(t, cfg, "decay_Gamma")
     out = _gamma(arr.ravel(), cfg)[0].reshape(arr.shape)
     if not np.all(np.isfinite(out)):
         raise NumericalError("decay_Gamma produced a non-finite value")
@@ -334,5 +359,4 @@ def dephasing_grid(times, cfg=None):
         raise ValidationError("dephasing_grid requires all t >= 0")
     if np.any(np.diff(t) <= 0):
         raise ValidationError("dephasing_grid requires strictly increasing times")
-    # both raise NumericalError on a non-finite value
     return DephasingGrid(t=t, S=phase_S(t, cfg), Gamma=decay_Gamma(t, cfg))

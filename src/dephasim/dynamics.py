@@ -47,7 +47,7 @@ import numbers
 
 import numpy as np
 
-from .bath import BathConfig, decay_Gamma, phase_S
+from .bath import BathConfig, _require_real, decay_Gamma, phase_S
 from .errors import NumericalError, ValidationError
 
 __all__ = [
@@ -83,6 +83,9 @@ class SpinInit:
     v: complex = 0.0
 
     def __post_init__(self):
+        _require_real(self, "p")
+        if not isinstance(self.v, numbers.Complex):
+            raise ValidationError("coherence v must be a number, got %r" % (self.v,))
         if not (0.0 <= self.p <= 1.0):
             raise ValidationError("population p must lie in [0, 1], got %r" % (self.p,))
         if not math.isfinite(abs(self.v)):
@@ -110,6 +113,7 @@ class CouplingConfig:
     N: int = 2
 
     def __post_init__(self):
+        _require_real(self, "kappa_c", "kappa_l", "eta")
         for name in ("kappa_c", "kappa_l", "eta"):
             if not math.isfinite(getattr(self, name)):
                 raise ValidationError("%s must be finite, got %r" % (name, getattr(self, name)))
@@ -155,12 +159,24 @@ class EnsembleConfig:
         # a NaN fails both comparisons, so it is caught here too
         if not np.all((ps >= 0) & (ps <= 1)):
             raise ValidationError("background populations must be finite and lie in [0, 1]")
+        _require_real(self, "omega1", "omega2")
         w1, w2 = float(self.omega1), float(self.omega2)  # overflow gives inf, not a warning
         if not all(map(math.isfinite, (w1, w2, w1 + w2, w1 - w2))):
             raise ValidationError("omega1, omega2 and omega1 +- omega2 must be finite")
+        object.__setattr__(self, "omega1", w1)
+        object.__setattr__(self, "omega2", w2)
 
     def _populations(self):
-        return np.atleast_1d(np.asarray(self.background_p, dtype=float))
+        try:
+            ps = np.atleast_1d(np.asarray(self.background_p))
+            if ps.dtype.kind in "biuf":
+                return ps.astype(float, copy=False)
+        except ValueError:  # a ragged sequence
+            pass
+        raise ValidationError(
+            "background_p must be a real number or a sequence of them, got %r"
+            % (self.background_p,)
+        )
 
     def background_array(self, N):
         ps = self._populations()

@@ -4,6 +4,14 @@ The command line front end maps these onto exit codes: validation
 problems exit with 2, I/O problems with 3, numerical failures with 4.
 """
 
+__all__ = [
+    "DephasimError",
+    "ValidationError",
+    "NumericalError",
+    "QuadratureError",
+    "FitError",
+]
+
 
 class DephasimError(Exception):
     """Base class for all package errors."""

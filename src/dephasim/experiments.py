@@ -466,23 +466,13 @@ def limits_compare(eta, n_values, t, s1, s2, kappa_c, kappa_l=0.0, background_p=
     if not n_values:
         raise ValidationError("limits has no points to compare")
     ens = EnsembleConfig(spin1=s1, spin2=s2, background_p=background_p)
-    regime = "small-eta" if eta < 0.25 else "large-eta"
-    meta = {
-        "experiment": "limits",
-        "eta": eta,
-        "t": t,
-        "kappa_c": kappa_c,
-        "kappa_l": kappa_l,
-        "background_p": background_p,
-        "regime": regime,
-        "epsilon": bath.epsilon,
-        "theta": bath.theta,
-        "warnings": [],
-    }
     rho0 = initial_two_qubit(s1, s2)
+    cfg = CouplingConfig(kappa_c=kappa_c, kappa_l=kappa_l, eta=eta, N=n_values[0])
+    regime = "small-eta" if eta < 0.25 else "large-eta"
+    meta = _meta("limits", cfg, bath, swept=("N",), t=t, background_p=background_p, regime=regime)
     rows = []
     for n in n_values:
-        cfg = CouplingConfig(kappa_c=kappa_c, kappa_l=kappa_l, eta=eta, N=n)
+        cfg = replace(cfg, N=n)
         rho = evolve(rho0, t, cfg, ens, bath)
         if regime == "small-eta":
             lim = limit_state_small_eta(t, s1, s2, cfg, bath)

@@ -271,12 +271,43 @@ class TestHugeTime:
         assert decay_Gamma(1e300, bath) == pytest.approx(gamma_saturation(bath), rel=1e-14)
 
 
+class TestOverflowingInput:
+    # the input is finite, but k_c t or S(t) is not a float; a RuntimeWarning
+    # fails the test (pyproject.toml)
+    @pytest.mark.parametrize("func, t, epsilon", [
+        (phase_S, 1e300, 1e10),
+        (decay_Gamma, 1e300, 1e10),
+        (dephasing_grid, np.array([0.0, 1e300]), 1e10),
+        # k_c t = 1e250 is finite, and only S = -k_c^3 t / 6 overflows
+        (phase_S, 1e150, 1e100),
+        (phase_S, np.array([0.0, 1.0, 1e150]), 1e100),
+    ])
+    def test_rejected_as_validation(self, func, t, epsilon):
+        with pytest.raises(ValidationError, match="overflows"):
+            func(t, BathConfig(epsilon=epsilon))
+
+    def test_largest_finite_phase_is_kept(self):
+        # k_c^3 t / 6 just inside the float range
+        bath = BathConfig(epsilon=1e100)
+        assert phase_S(1e8, bath) == pytest.approx(-1e308 / 6.0, rel=1e-15)
+
+
 class TestConfig:
     def test_derived_cutoff(self):
         bath = BathConfig(epsilon=2.0, theta=3.0)
         assert bath.k_c == pytest.approx(6.0)
         assert bath.beta == pytest.approx(1.0 / 3.0)
         assert bath.nu_c == pytest.approx(6.0 / (2.0 * math.pi))
+
+    @pytest.mark.parametrize("field, value", [
+        ("epsilon", "1"), ("theta", "1"), ("epsilon", None), ("theta", 1j),
+    ])
+    def test_rejects_non_numbers(self, field, value):
+        with pytest.raises(ValidationError, match="^%s must be a" % field):
+            BathConfig(**{field: value})
+
+    def test_numpy_numbers_accepted(self):
+        assert BathConfig(epsilon=np.int64(2), theta=np.float32(3.0)).k_c == 6.0
 
     def test_replace_moves_cutoff(self):
         # k_c is derived, so replacing epsilon or theta cannot leave it stale

@@ -210,6 +210,41 @@ class TestExitCodes:
         assert code == 2 and not out
         assert "no points" in err
 
+    @pytest.mark.parametrize(
+        "argv, want",
+        [
+            (["grid-pv", "--mode", "foo"], "invalid value for mode: must be one of"),
+            (["timeseries", "--n", "abc"], "invalid value for n:"),
+            (["sweep-n", "--n-step", "0"], "n_step must be positive"),
+        ],
+        ids=["choice", "int", "n-step"],
+    )
+    def test_bad_option_value_is_validation(self, capsys, argv, want):
+        code, out, err = _run(capsys, argv)
+        assert code == 2 and not out
+        assert want in err
+
+    @pytest.mark.parametrize("line, want", [("timeseries", 0), ("limits", 2)])
+    def test_config_file_subcommand_line(self, tmp_path, capsys, line, want):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("subcommand = %s\nsteps = 4\n" % line)
+        code, out, err = _run(capsys, ["timeseries", "--config", str(cfg)])
+        assert code == want
+        if want:
+            assert not out
+            assert "config file is for subcommand 'limits', not 'timeseries'" in err
+        else:
+            assert len(_data_lines(out)) == 5
+
+    def test_overflowing_bath_argument_is_validation(self, tmp_path):
+        # k_c t = 1e310; in a child, so a leaked RuntimeWarning shows on stderr
+        argv = ["-m", "dephasim.cli", "timeseries", "--t-max", "1e300", "--epsilon", "1e10",
+                "--steps", "5"]
+        proc = _child(argv, tmp_path)
+        assert proc.returncode == 2 and not proc.stdout
+        assert proc.stderr.startswith("dephasim: error: phase_S's input overflows")
+        assert len(proc.stderr.splitlines()) == 1
+
     def test_unknown_flag(self, capsys):
         code, _, err = _run(capsys, ["timeseries", "--bogus", "1"])
         assert code == 2
@@ -249,6 +284,13 @@ class TestExitCodes:
         code, out, err = _run(capsys, ["grid-pv", "--grid-points", points])
         assert code == 2 and not out
         assert "grid_points" in err
+
+    def test_fit_without_table_is_validation(self, tmp_path, capsys):
+        table = tmp_path / "notes.csv"
+        table.write_text("# dephasim 0.1.0\n\n# no rows\n")
+        code, out, err = _run(capsys, ["fit", "--input", str(table)])
+        assert code == 2 and not out
+        assert "no table found in" in err and "notes.csv" in err
 
     def test_fit_requires_input(self, capsys):
         code, _, err = _run(capsys, ["fit"])
@@ -509,6 +551,17 @@ class TestFitSubcommand:
         vals = _data_lines(out)[1].split(",")
         assert float(vals[0]) == pytest.approx(-0.1, abs=1e-12)
         assert float(vals[2]) == pytest.approx(1.0, abs=1e-12)
+
+    def test_non_numeric_cell_excluded(self, tmp_path, capsys):
+        table = tmp_path / "t.csv"
+        rows = ["n,c_max"] + ["%d,%.17g" % (n, math.exp(-0.1 * n)) for n in range(1, 11)]
+        rows[3] = "3,n/a"
+        table.write_text("\n".join(rows) + "\n")
+        code, out, _ = _run(capsys, ["fit", "--input", str(table)])
+        assert code == 0
+        vals = dict(zip(*(line.split(",") for line in _data_lines(out))))
+        assert (vals["n_used"], vals["n_excluded"]) == ("9", "1")
+        assert float(vals["slope"]) == pytest.approx(-0.1, abs=1e-12)
 
     def test_missing_column(self, tmp_path, capsys):
         table = tmp_path / "t.csv"

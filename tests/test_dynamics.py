@@ -155,6 +155,22 @@ class TestSpinInit:
         with pytest.raises(ValidationError, match="finite"):
             SpinInit(p=0.5, v=v)
 
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"p": "0.5"}, "p"),
+        ({"p": 0.5 + 0j}, "p"),
+        ({"p": None}, "p"),
+        ({"p": 0.5, "v": "0.1"}, "coherence v"),
+        ({"p": 0.5, "v": None}, "coherence v"),
+    ])
+    def test_rejects_non_numbers(self, kwargs, field):
+        with pytest.raises(ValidationError, match="^%s must be a" % field):
+            SpinInit(**kwargs)
+
+    def test_numpy_numbers_accepted(self):
+        spin = SpinInit(p=np.float32(0.5), v=np.complex64(0.25j))
+        assert spin.matrix()[0, 1] == 0.25j
+        assert SpinInit(p=1, v=np.int64(0)).matrix()[1, 1] == 0.0
+
     def test_initial_product(self):
         s1 = SpinInit(p=0.5, v=0.48)
         s2 = SpinInit(p=0.3, v=0.1j)
@@ -375,6 +391,34 @@ class TestEvolve:
         # the interaction frame has no free phases
         evolve(rho0, t, cfg, ens, bath=bath)
 
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"omega1": "1.5"}, "omega1"),
+        ({"omega1": 1j}, "omega1"),
+        ({"omega2": None}, "omega2"),
+        ({"background_p": "x"}, "background_p"),
+        ({"background_p": "0.5"}, "background_p"),
+        ({"background_p": [0.5, "0.2"]}, "background_p"),
+        ({"background_p": [[0.5], [0.2, 0.3]]}, "background_p"),
+    ])
+    def test_ensemble_rejects_non_numbers(self, kwargs, field):
+        spin = SpinInit(p=0.5)
+        with pytest.raises(ValidationError, match="^%s must be a" % field):
+            EnsembleConfig(spin, spin, **kwargs)
+
+    def test_frequencies_stored_as_floats(self):
+        spin = SpinInit(p=0.5)
+        ens = EnsembleConfig(spin, spin, background_p=np.float32(0.25),
+                             omega1=np.float64(1.5), omega2=2)
+        assert (ens.omega1, ens.omega2) == (1.5, 2.0)
+        assert type(ens.omega1) is float and type(ens.omega2) is float
+        np.testing.assert_array_equal(ens.background_array(4), [0.25, 0.25])
+
+    def test_negative_time_rejected(self):
+        bath, cfg, ens = self._setup()
+        rho0 = initial_two_qubit(ens.spin1, ens.spin2)
+        with pytest.raises(ValidationError, match="t >= 0"):
+            evolve(rho0, -1.0, cfg, ens, bath=bath)
+
     def test_invalid_frame(self):
         bath, cfg, ens = self._setup()
         rho0 = initial_two_qubit(ens.spin1, ens.spin2)
@@ -509,6 +553,15 @@ class TestLimits:
         assert dists[0] > dists[1] > dists[2] > dists[3]
 
 
+class TestLargeEtaBackground:
+    def test_inhomogeneous_background_rejected(self):
+        spin = SpinInit(p=0.5, v=0.48)
+        ens = EnsembleConfig(spin, spin, background_p=[0.2, 0.4])
+        cfg = CouplingConfig(kappa_c=0.2, eta=0.5, N=4)
+        with pytest.raises(ValidationError, match="homogeneous background"):
+            limit_state_large_eta(1.0, spin, spin, cfg, ens, bath=BathConfig())
+
+
 class TestRescaledTime:
     def test_roundtrip(self):
         bath = BathConfig()
@@ -516,6 +569,10 @@ class TestRescaledTime:
         t = np.linspace(0.0, 100.0, 11)
         back = t_of_tau(tau_of_t(t, cfg, bath), cfg, bath)
         np.testing.assert_allclose(back, t, rtol=1e-14)
+
+    def test_zero_coupling_has_no_inverse(self):
+        with pytest.raises(ValidationError, match="kappa_c = 0"):
+            t_of_tau(1.0, CouplingConfig(kappa_c=0.0, N=4), BathConfig())
 
     def test_scaling(self):
         # tau = kappa_eff^2 nu_c t
@@ -599,6 +656,11 @@ class TestValidateState:
         with pytest.raises(ValidationError):
             validate_two_qubit(rho)
 
+    @pytest.mark.parametrize("shape", [(3, 3), (4,), (2, 4, 4)])
+    def test_rejects_wrong_shape(self, shape):
+        with pytest.raises(ValidationError, match="4x4"):
+            validate_two_qubit(np.zeros(shape))
+
     @pytest.mark.parametrize("entry,value", [((0, 0), math.nan), ((1, 2), math.nan), ((3, 3), math.inf)])
     def test_rejects_nonfinite(self, entry, value):
         # a NaN passes the Hermiticity and trace comparisons
@@ -633,3 +695,16 @@ class TestCouplingConfig:
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ValidationError):
             CouplingConfig(**kwargs)
+
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"kappa_c": "0.1"}, "kappa_c"),
+        ({"kappa_c": 0.1, "eta": None}, "eta"),
+        ({"kappa_c": 0.1, "kappa_l": 0.1j}, "kappa_l"),
+    ])
+    def test_rejects_non_numbers(self, kwargs, field):
+        with pytest.raises(ValidationError, match="^%s must be a" % field):
+            CouplingConfig(**kwargs)
+
+    def test_numpy_numbers_accepted(self):
+        cfg = CouplingConfig(kappa_c=np.float32(0.5), kappa_l=np.int64(0), eta=1, N=np.int64(4))
+        assert cfg.effective_kappa_c == 0.125

@@ -146,6 +146,10 @@ class TestPeak:
         pk = peak_concurrence(_series([0, 1, 2, 3], [0.0, 0.5, 0.5, 0.1]))
         assert pk.tau_peak == 1.0
 
+    def test_empty_series_rejected(self):
+        with pytest.raises(ValidationError, match="non-empty"):
+            peak_concurrence(_series([], []))
+
     def test_all_zero_flag(self):
         pk = peak_concurrence(_series([0, 1, 2], [0.0, 0.0, 0.0]))
         assert pk.all_zero and pk.c_max == 0.0
@@ -232,9 +236,28 @@ class TestFit:
             )
 
 
+    def test_mismatched_arrays_rejected(self):
+        with pytest.raises(ValidationError, match="matching 1-D arrays"):
+            fit_exponential(np.arange(4.0), np.ones(3))
+        with pytest.raises(ValidationError, match="matching 1-D arrays"):
+            fit_exponential(np.ones((2, 2)), np.ones((2, 2)))
+
+    def test_equal_n_rejected(self):
+        with pytest.raises(FitError, match="distinct n"):
+            fit_exponential(np.full(4, 3.0), np.array([1.0, 0.5, 0.25, 0.125]))
+
+
 class TestSpread:
     def test_constant_is_zero(self):
         assert relative_spread(np.array([2.0, 2.0, 2.0])) == 0.0
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValidationError, match="empty"):
+            relative_spread([])
+
+    def test_zero_mean_rejected(self):
+        with pytest.raises(ValidationError, match="zero mean"):
+            relative_spread([-1.0, 1.0])
 
     def test_known_value(self):
         x = np.array([1.0, 3.0])
@@ -258,6 +281,21 @@ class TestSweeps:
         res = sweep_N(list(range(2, 31, 2)), cfg, std_ens, bath)
         c = np.array(res.column("c_max"))
         assert np.all(np.diff(c) <= 1e-9)
+
+    @pytest.mark.parametrize("n_values", [[1], [4, 1]])
+    def test_sweep_n_rejects_small_n(self, bath, std_ens, n_values):
+        with pytest.raises(ValidationError, match="all N must be >= 2"):
+            sweep_N(n_values, CouplingConfig(kappa_c=0.05, N=2), std_ens, bath)
+
+    @pytest.mark.parametrize("kappa_values", [[0.0], [0.1, -0.1]])
+    def test_sweep_kappa_rejects_nonpositive(self, bath, std_ens, kappa_values):
+        with pytest.raises(ValidationError, match="positive couplings"):
+            sweep_kappa(kappa_values, CouplingConfig(kappa_c=0.1, N=4), std_ens, bath)
+
+    @pytest.mark.parametrize("steps", [0, 1])
+    def test_too_few_steps_rejected(self, bath, std_ens, steps):
+        with pytest.raises(ValidationError, match="steps must be >= 2"):
+            time_series(CouplingConfig(kappa_c=0.1, N=4), std_ens, bath, steps=steps)
 
     def test_sweep_kappa_order_preserved(self, bath, std_ens):
         cfg = CouplingConfig(kappa_c=0.1, N=4)
@@ -605,6 +643,12 @@ class TestLimitsCompare:
         d = np.array(res.column("distance"))
         assert np.all(np.diff(d) < 0)
         assert res.meta["regime"] == "large-eta"
+
+    @pytest.mark.parametrize("n_values", [[1, 100], [100, 1]])
+    def test_small_n_rejected(self, bath, n_values):
+        spin = SpinInit(p=0.5, v=0.48)
+        with pytest.raises(ValidationError, match="N must be an integer >= 2"):
+            limits_compare(0.1, n_values, 30.0, spin, spin, kappa_c=0.2, bath=bath)
 
     def test_boundary_rejected(self, bath):
         spin = SpinInit(p=0.5, v=0.48)

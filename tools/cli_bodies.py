@@ -2,12 +2,13 @@
 
     python3 tools/cli_bodies.py OUTDIR
 
-Runs nineteen `dephasim` commands that cover every subcommand that computes
-a study, with the package imported from this checkout's src/.  Each
-command runs in OUTDIR and writes its body there with a relative
---output, so the path recorded in the body's configuration header is the
-same from any checkout.  A command that exits non-zero or writes to
-stderr stops the script.  To compare two checkouts:
+Runs twenty-one `dephasim` commands that cover every subcommand, with
+the package imported from this checkout's src/.  Each command runs in
+OUTDIR and writes its body there with a relative --output, so the path
+recorded in the body's configuration header is the same from any
+checkout; the two fit commands read sweep bodies written before them.
+A command that exits non-zero or writes to stderr stops the script.  To
+compare two checkouts:
 
     python3 A/tools/cli_bodies.py /tmp/a && python3 B/tools/cli_bodies.py /tmp/b
     diff -r /tmp/a /tmp/b
@@ -29,11 +30,14 @@ BODIES = (
     ("timeseries-negative-v.csv", ["timeseries", "--n", "6", "--p", "0.3", "--v", "-0.3",
                                    "--background-p", "0.2", "--kappa-l", "0.2"]),
     ("sweep-n.csv", ["sweep-n"]),
+    ("fit-sweep-n.csv", ["fit", "--input", "sweep-n.csv", "--y", "tau_c", "--n-min", "10",
+                         "--n-max", "150"]),
     ("sweep-n-eta.csv", ["sweep-n", "--eta", "0.3", "--n-max", "40"]),
     ("sweep-kappa.csv", ["sweep-kappa"]),
     ("sweep-kappa-steps50.csv", ["sweep-kappa", "--steps", "50"]),
     ("sweep-eta.csv", ["sweep-eta"]),
     ("sweep-eta.json", ["sweep-eta", "--format", "json"]),
+    ("fit-sweep-eta.csv", ["fit", "--input", "sweep-eta.json", "--y", "tau_peak"]),
     ("grid-pv-symmetric.csv", ["grid-pv", "--mode", "symmetric-pv"]),
     ("grid-pv-symmetric-knobs.csv", ["grid-pv", "--mode", "symmetric-pv", "--s-knob", "1.1",
                                      "--gamma-l-knob", "0.2", "--gamma-c-knob", "0.3"]),
