@@ -71,12 +71,11 @@ estimate above 1e-8 Gamma_inf raises QuadratureError.
 
 from dataclasses import dataclass
 import math
-import numbers
 
 import numpy as np
 from numpy.polynomial import legendre
 
-from .errors import NumericalError, QuadratureError, ValidationError
+from .errors import NumericalError, QuadratureError, ValidationError, _real
 
 __all__ = [
     "BathConfig",
@@ -106,14 +105,6 @@ _BOSE_CUT = 40.0
 _TAIL_TOL = 1e-8
 
 
-def _require_real(cfg, *names):
-    """ValidationError naming the first of cfg's fields that is not a real number."""
-    for name in names:
-        value = getattr(cfg, name)
-        if not isinstance(value, numbers.Real):
-            raise ValidationError("%s must be a real number, got %r" % (name, value))
-
-
 @dataclass(frozen=True)
 class BathConfig:
     """Thermal bath with the sqrt-cutoff form factor.
@@ -133,15 +124,11 @@ class BathConfig:
     theta: float = 1.0
 
     def __post_init__(self):
-        _require_real(self, "epsilon", "theta")
-        if not all(0 < v < math.inf for v in (self.epsilon, self.theta, self.k_c)):
-            raise ValidationError(
-                "epsilon, theta and epsilon*theta must be positive and finite, got %r, %r and %r"
-                % (self.epsilon, self.theta, self.k_c)
-            )
+        for name in ("epsilon", "theta"):
+            _real(getattr(self, name), name, math.ulp(0.0), what="positive and finite")
+        k_c = _real(self.k_c, "k_c = epsilon*theta", math.ulp(0.0), what="positive and finite")
         # phase_S and decay_Gamma scale by k_c^2
-        if not math.isfinite(self.k_c * self.k_c):
-            raise ValidationError("k_c^2 = (epsilon*theta)^2 must be finite, got k_c = %r" % (self.k_c,))
+        _real(k_c * k_c, "k_c^2 = (epsilon*theta)^2")
 
     @property
     def k_c(self):
@@ -205,7 +192,10 @@ def _bracket(x):
 
 def _times(t, cfg, name):
     """t as a float array; ValidationError unless each t is finite and >= 0 and k_c t is finite."""
-    t = np.asarray(t, dtype=float)
+    try:
+        t = np.asarray(t, dtype=float)
+    except (TypeError, ValueError, OverflowError):  # not numbers, or an int too large for a float
+        raise ValidationError("%s requires finite t >= 0" % name) from None
     if t.size:
         lo, hi = float(t.min()), float(t.max())  # a NaN fails both tests
         if not (lo >= 0 and hi < math.inf):

@@ -47,8 +47,8 @@ import numbers
 
 import numpy as np
 
-from .bath import BathConfig, _require_real, decay_Gamma, phase_S
-from .errors import NumericalError, ValidationError
+from .bath import BathConfig, decay_Gamma, phase_S
+from .errors import NumericalError, ValidationError, _real
 
 __all__ = [
     "SpinInit",
@@ -83,14 +83,12 @@ class SpinInit:
     v: complex = 0.0
 
     def __post_init__(self):
-        _require_real(self, "p")
+        _real(self.p, "p", 0.0, 1.0, what="in [0, 1]")
         if not isinstance(self.v, numbers.Complex):
             raise ValidationError("coherence v must be a number, got %r" % (self.v,))
-        if not (0.0 <= self.p <= 1.0):
-            raise ValidationError("population p must lie in [0, 1], got %r" % (self.p,))
-        if not math.isfinite(abs(self.v)):
-            raise ValidationError("coherence v must be finite, got %r" % (self.v,))
-        if abs(self.v) ** 2 > self.p * (1.0 - self.p) + _CONSTRAINT_TOL:
+        # np.abs is inf where abs raises OverflowError: a complex too large for a float
+        v = _real(np.abs(self.v), "coherence |v|")
+        if v * v > self.p * (1.0 - self.p) + _CONSTRAINT_TOL:
             raise ValidationError(
                 "|v|^2 <= p(1-p) violated: |%r|^2 > %r(1-%r)" % (self.v, self.p, self.p)
             )
@@ -113,23 +111,17 @@ class CouplingConfig:
     N: int = 2
 
     def __post_init__(self):
-        _require_real(self, "kappa_c", "kappa_l", "eta")
-        for name in ("kappa_c", "kappa_l", "eta"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValidationError("%s must be finite, got %r" % (name, getattr(self, name)))
-        if self.kappa_c < 0 or self.kappa_l < 0:
-            raise ValidationError("coupling strengths must be >= 0")
-        if self.eta < 0:
-            raise ValidationError("scaling exponent eta must be >= 0")
+        kappa_c, kappa_l, eta = (
+            _real(getattr(self, name), name, 0.0, what="finite and >= 0")
+            for name in ("kappa_c", "kappa_l", "eta")
+        )
         if not isinstance(self.N, numbers.Integral) or self.N < 2:
             raise ValidationError("N must be an integer >= 2")
         object.__setattr__(self, "N", int(self.N))
-        if not all(math.isfinite(k * k) for k in (self.kappa_c, self.kappa_l)):
-            raise ValidationError(
-                "kappa_c^2 and kappa_l^2 must be finite, got %r, %r" % (self.kappa_c, self.kappa_l)
-            )
+        _real(kappa_c * kappa_c, "kappa_c^2")
+        _real(kappa_l * kappa_l, "kappa_l^2")
         try:
-            self.N**self.eta
+            self.N**eta
         except OverflowError:
             msg = "N^eta must be finite, got N = %d, eta = %r" % (self.N, self.eta)
             raise ValidationError(msg) from None
@@ -155,13 +147,15 @@ class EnsembleConfig:
     omega2: float = 0.0
 
     def __post_init__(self):
+        for name in ("spin1", "spin2"):
+            if not isinstance(getattr(self, name), SpinInit):
+                raise ValidationError("%s must be a SpinInit, got %r" % (name, getattr(self, name)))
         ps = self._populations()
         # a NaN fails both comparisons, so it is caught here too
         if not np.all((ps >= 0) & (ps <= 1)):
             raise ValidationError("background populations must be finite and lie in [0, 1]")
-        _require_real(self, "omega1", "omega2")
-        w1, w2 = float(self.omega1), float(self.omega2)  # overflow gives inf, not a warning
-        if not all(map(math.isfinite, (w1, w2, w1 + w2, w1 - w2))):
+        w1, w2 = _real(self.omega1, "omega1"), _real(self.omega2, "omega2")
+        if not all(map(math.isfinite, (w1 + w2, w1 - w2))):
             raise ValidationError("omega1, omega2 and omega1 +- omega2 must be finite")
         object.__setattr__(self, "omega1", w1)
         object.__setattr__(self, "omega2", w2)
@@ -324,8 +318,7 @@ def evolve_series(rho0, grid, cfg, ens, frame="interaction"):
 def evolve(rho0, t, cfg, ens, bath=None, frame="interaction"):
     """Reduced two-qubit state at a single time t."""
     bath = bath if bath is not None else BathConfig()
-    if t < 0:
-        raise ValidationError("evolve requires t >= 0")
+    t = _real(t, "t", 0.0, what="finite and t >= 0")
     entries = _evolution_entries(t, phase_S(t, bath), decay_Gamma(t, bath), cfg, ens, frame)
     return _states(rho0, entries)[0]
 

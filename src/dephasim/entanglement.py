@@ -172,7 +172,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import _STATE_TOL, SpinInit, validate_two_qubit
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, _real
 
 __all__ = [
     "ConcurrenceResult",
@@ -568,8 +568,7 @@ def x_state_concurrence(p1, p2, v1, v2, gamma_l=0.0):
     which the positivity constraint |v|^2 <= p(1-p), checked by SpinInit,
     pins at zero.
     """
-    if not 0.0 <= gamma_l < np.inf:
-        raise ValidationError("gamma_l must be finite and >= 0, got %r" % (gamma_l,))
+    _real(gamma_l, "gamma_l", 0.0, what="finite and >= 0")
     SpinInit(p1, v1)
     SpinInit(p2, v2)
     root = np.sqrt(p1 * (1.0 - p1) * p2 * (1.0 - p2))

@@ -20,7 +20,6 @@ that want the states themselves.
 from dataclasses import dataclass, replace
 import itertools
 import math
-import numbers
 
 import numpy as np
 
@@ -47,7 +46,7 @@ from .entanglement import (
     _partial_transpose,
     concurrence,
 )
-from .errors import FitError, ValidationError
+from .errors import FitError, ValidationError, _integer, _real
 
 __all__ = [
     "TimeSeries",
@@ -135,15 +134,6 @@ class SweepResult:
         return np.array([row[i] for row in self.rows])
 
 
-def _integer(x, name):
-    """x as an int, if it is integral (3.0 and numpy integers are); else ValidationError."""
-    if not isinstance(x, numbers.Integral) and not (
-        isinstance(x, numbers.Real) and float(x).is_integer()
-    ):
-        raise ValidationError("%s must be an integer, got %r" % (name, x))
-    return int(x)
-
-
 # CouplingConfig field -> its meta and column key
 _KEYS = {"kappa_c": "kappa_c", "kappa_l": "kappa_l", "eta": "eta", "N": "n"}
 # swept CouplingConfig field -> the meta key of its values
@@ -162,14 +152,11 @@ def _resolve_grid(cfg, bath, t_max, steps, tau_max, meta):
     """The DephasingGrid of cfg's window; resolution warnings go to meta["warnings"]."""
     ke2 = cfg.effective_kappa_c**2
     if t_max is None:
-        window = TAU_WINDOW if tau_max is None else float(tau_max)
-        if not math.isfinite(window):
-            raise ValidationError("tau_max must be finite, got %r" % (window,))
-        if ke2 == 0:
+        window = TAU_WINDOW if tau_max is None else _real(tau_max, "tau_max")
+        if ke2 * bath.nu_c == 0:  # kappa_eff^2 nu_c can underflow
             raise ValidationError("t_max is required when the collective coupling is zero")
         t_max = window / (ke2 * bath.nu_c)
-    if not 0 < t_max < math.inf:
-        raise ValidationError("t_max must be positive and finite, got %r" % (t_max,))
+    t_max = _real(t_max, "t_max", math.ulp(0.0), what="positive and finite")
     if not math.isfinite(ke2 * bath.nu_c * t_max):
         raise ValidationError("the rescaled window of t_max = %r is not finite" % (t_max,))
     if steps is None:
@@ -328,7 +315,7 @@ def sweep_N(n_values, cfg, ens, bath=None, tau_max=None, steps=None):
 
 def sweep_kappa(kappa_values, cfg, ens, bath=None, tau_max=None, steps=None):
     """Peak and collapse statistics across collective coupling strengths."""
-    kappa_values = [float(k) for k in kappa_values]
+    kappa_values = [_real(k, "kappa_values") for k in kappa_values]
     if any(k <= 0 for k in kappa_values):
         raise ValidationError("sweep_kappa requires positive couplings")
     return _sweep("sweep-kappa", (("kappa_c", kappa_values),), cfg, ens, bath, tau_max, steps)
@@ -336,7 +323,8 @@ def sweep_kappa(kappa_values, cfg, ens, bath=None, tau_max=None, steps=None):
 
 def sweep_eta(eta_values, n_values, cfg, ens, bath=None, tau_max=None, steps=None):
     """Peak statistics across scaling exponents and spin counts."""
-    axes = (("eta", [float(e) for e in eta_values]), ("N", [_integer(n, "N") for n in n_values]))
+    etas = [_real(e, "eta_values") for e in eta_values]
+    axes = (("eta", etas), ("N", [_integer(n, "N") for n in n_values]))
     return _sweep("sweep-eta", axes, cfg, ens, bath, tau_max, steps)
 
 
@@ -392,15 +380,13 @@ def grid_pv(
     N = 40 corner grid 4018 of the 484 000 pairs are formed.
     """
     bath = bath if bath is not None else BathConfig()
-    values1 = [float(x) for x in values1]
-    values2 = values1 if values2 is None else [float(x) for x in values2]
+    values1 = [_real(x, "values1") for x in values1]
+    values2 = values1 if values2 is None else [_real(x, "values2") for x in values2]
     if not values1 or not values2:
         raise ValidationError("grid_pv needs at least one value on each axis")
-    if not math.isfinite(s_knob):
-        raise ValidationError("s_knob must be finite, got %r" % (s_knob,))
+    _real(s_knob, "s_knob")
     for name, knob in (("gamma_l_knob", gamma_l_knob), ("gamma_c_knob", gamma_c_knob)):
-        if not 0 <= knob < math.inf:
-            raise ValidationError("%s must be finite and >= 0, got %r" % (name, knob))
+        _real(knob, name, 0.0, what="finite and >= 0")
     if mode == "symmetric-pv":
         meta = {"experiment": "grid-pv", "mode": mode, "warnings": [], "s_knob": s_knob,
                 "gamma_l_knob": gamma_l_knob, "gamma_c_knob": gamma_c_knob}
@@ -460,7 +446,7 @@ def limits_compare(eta, n_values, t, s1, s2, kappa_c, kappa_l=0.0, background_p=
     eta > 1/4; eta = 1/4 sits on the borderline and has no closed limit.
     """
     bath = bath if bath is not None else BathConfig()
-    if eta <= 0 or eta == 0.25:
+    if _real(eta, "eta") <= 0 or eta == 0.25:
         raise ValidationError("limits require eta in (0, 1/4) or (1/4, inf)")
     n_values = [_integer(n, "N") for n in n_values]
     if not n_values:

@@ -257,6 +257,14 @@ class TestNonFiniteTime:
                     func(bad, BathConfig())
 
 
+class TestNonNumericTime:
+    @pytest.mark.parametrize("func", [phase_S, decay_Gamma])
+    @pytest.mark.parametrize("t", ["x", [0.0, "x"], [[0.0], [1.0, 2.0]], 10**400])
+    def test_rejected_as_validation(self, func, t):
+        with pytest.raises(ValidationError, match="requires finite t >= 0"):
+            func(t, BathConfig())
+
+
 class TestHugeTime:
     # k_c t = 1e280: the squares in the direct branches overflow to inf, and
     # the quotients they divide go to their limit 0 without a warning
@@ -305,6 +313,17 @@ class TestConfig:
     def test_rejects_non_numbers(self, field, value):
         with pytest.raises(ValidationError, match="^%s must be a" % field):
             BathConfig(**{field: value})
+
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"epsilon": 10**400}, "^epsilon must be positive and finite"),
+        ({"theta": 10**400}, "^theta must be positive and finite"),
+        # each is a float, but k_c is an int too large for one
+        ({"epsilon": 10**200, "theta": 10**200}, "^k_c = epsilon\\*theta must be positive"),
+        ({"epsilon": 10**160}, "^k_c\\^2"),
+    ])
+    def test_rejects_ints_too_large_for_a_float(self, kwargs, match):
+        with pytest.raises(ValidationError, match=match):
+            BathConfig(**kwargs)
 
     def test_numpy_numbers_accepted(self):
         assert BathConfig(epsilon=np.int64(2), theta=np.float32(3.0)).k_c == 6.0

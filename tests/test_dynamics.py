@@ -166,6 +166,17 @@ class TestSpinInit:
         with pytest.raises(ValidationError, match="^%s must be a" % field):
             SpinInit(**kwargs)
 
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"p": 10**400}, r"^p must be in \[0, 1\]"),
+        ({"p": 0.5, "v": 10**400}, r"^coherence \|v\| must be finite"),
+        ({"p": 0.5, "v": complex(1.5e308, 1.5e308)}, r"^coherence \|v\| must be finite"),
+        ({"p": 0.5, "v": 1e200}, r"^\|v\|\^2 <= p\(1-p\) violated"),
+    ])
+    def test_rejects_numbers_too_large_for_a_float(self, kwargs, match):
+        # abs() of the complex and the square of 1e200 raise OverflowError
+        with pytest.raises(ValidationError, match=match):
+            SpinInit(**kwargs)
+
     def test_numpy_numbers_accepted(self):
         spin = SpinInit(p=np.float32(0.5), v=np.complex64(0.25j))
         assert spin.matrix()[0, 1] == 0.25j
@@ -405,6 +416,21 @@ class TestEvolve:
         with pytest.raises(ValidationError, match="^%s must be a" % field):
             EnsembleConfig(spin, spin, **kwargs)
 
+    @pytest.mark.parametrize("field", ["omega1", "omega2"])
+    def test_ensemble_rejects_int_too_large_for_a_float(self, field):
+        spin = SpinInit(p=0.5)
+        with pytest.raises(ValidationError, match="^%s must be finite" % field):
+            EnsembleConfig(spin, spin, **{field: 10**400})
+
+    @pytest.mark.parametrize("spins, field", [
+        ((None, SpinInit(p=0.5)), "spin1"),
+        ((SpinInit(p=0.5), 0.5), "spin2"),
+        ((SpinInit(p=0.5), (0.5, 0.0)), "spin2"),
+    ])
+    def test_ensemble_rejects_non_spins(self, spins, field):
+        with pytest.raises(ValidationError, match="^%s must be a SpinInit" % field):
+            EnsembleConfig(*spins)
+
     def test_frequencies_stored_as_floats(self):
         spin = SpinInit(p=0.5)
         ens = EnsembleConfig(spin, spin, background_p=np.float32(0.25),
@@ -418,6 +444,13 @@ class TestEvolve:
         rho0 = initial_two_qubit(ens.spin1, ens.spin2)
         with pytest.raises(ValidationError, match="t >= 0"):
             evolve(rho0, -1.0, cfg, ens, bath=bath)
+
+    @pytest.mark.parametrize("t", ["x", None, 1j, 10**400, math.nan, np.array([1.0, 2.0])])
+    def test_malformed_time_rejected(self, t):
+        bath, cfg, ens = self._setup()
+        rho0 = initial_two_qubit(ens.spin1, ens.spin2)
+        with pytest.raises(ValidationError, match="^t must be"):
+            evolve(rho0, t, cfg, ens, bath=bath)
 
     def test_invalid_frame(self):
         bath, cfg, ens = self._setup()
@@ -636,6 +669,49 @@ class TestEvolvedStateProperties:
         )
 
 
+@st.composite
+def _limit_cases(draw):
+    """(t, s1, s2, cfg, ens, bath) for the N -> infinity limit states."""
+    s1, s2 = draw(_spins()), draw(_spins())
+    ens = EnsembleConfig(s1, s2, background_p=draw(_UNIT))
+    cfg = CouplingConfig(
+        kappa_c=draw(st.floats(min_value=0.0, max_value=2.0)),
+        kappa_l=draw(st.floats(min_value=0.0, max_value=2.0)),
+        eta=draw(st.floats(min_value=0.0, max_value=1.0)),
+        N=draw(st.integers(min_value=2, max_value=10**6)),
+    )
+    bath = BathConfig(epsilon=draw(st.floats(min_value=0.2, max_value=5.0)))
+    t = draw(st.floats(min_value=0.0, max_value=500.0))
+    return t, s1, s2, cfg, ens, bath
+
+
+class TestLimitStateProperties:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_limit_cases())
+    def test_small_eta_is_an_unentangled_x_state(self, case):
+        t, s1, s2, cfg, _, bath = case
+        rho = limit_state_small_eta(t, s1, s2, cfg, bath=bath)
+        off = ~np.eye(4, dtype=bool)
+        off[1, 2] = off[2, 1] = False
+        assert np.all(rho[off] == 0.0)
+        # rho_11 rho_44 - |rho_23|^2 >= 0 is the X state's separability margin
+        margin = (rho[0, 0] * rho[3, 3]).real - abs(rho[1, 2]) ** 2
+        decay = math.exp(-4.0 * cfg.kappa_l**2 * decay_Gamma(t, bath))
+        want = s1.p * s2.p * (1 - s1.p) * (1 - s2.p) - decay * abs(s1.v) ** 2 * abs(s2.v) ** 2
+        assert margin == pytest.approx(want, rel=0, abs=1e-16)
+        # |v|^2 <= p (1 - p) makes want >= 0; rounding leaves a few ulps of 1/16
+        assert want >= -1e-16
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_limit_cases())
+    def test_large_eta_is_the_product_of_its_marginals(self, case):
+        t, s1, s2, cfg, ens, bath = case
+        rho = limit_state_large_eta(t, s1, s2, cfg, ens, bath=bath)
+        r = rho.reshape(2, 2, 2, 2)
+        first, second = np.einsum("ijkj->ik", r), np.einsum("ijil->jl", r)
+        np.testing.assert_allclose(rho, np.kron(first, second), rtol=0, atol=1e-15)
+
+
 class TestValidateState:
     def test_accepts_physical(self):
         spin = SpinInit(p=0.5, v=0.48)
@@ -703,6 +779,19 @@ class TestCouplingConfig:
     ])
     def test_rejects_non_numbers(self, kwargs, field):
         with pytest.raises(ValidationError, match="^%s must be a" % field):
+            CouplingConfig(**kwargs)
+
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"kappa_c": 10**400}, "^kappa_c must be finite"),
+        ({"kappa_c": 0.1, "kappa_l": 10**400}, "^kappa_l must be finite"),
+        ({"kappa_c": 0.1, "eta": 10**400}, "^eta must be finite"),
+        # finite as floats, but their squares or N^eta are not
+        ({"kappa_c": 10**200}, r"^kappa_c\^2 must be finite"),
+        ({"kappa_c": 0.1, "kappa_l": 10**200}, r"^kappa_l\^2 must be finite"),
+        ({"kappa_c": 0.1, "eta": 2000, "N": 4}, r"^N\^eta must be finite"),
+    ])
+    def test_rejects_ints_too_large_for_a_float(self, kwargs, match):
+        with pytest.raises(ValidationError, match=match):
             CouplingConfig(**kwargs)
 
     def test_numpy_numbers_accepted(self):

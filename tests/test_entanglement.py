@@ -718,6 +718,11 @@ class TestXState:
         with pytest.raises(ValidationError):
             x_state_concurrence(0.5, 0.5, v1, v2, gamma_l=gamma_l)
 
+    @pytest.mark.parametrize("gamma_l", ["x", None, 1j, 10**400])
+    def test_rejects_non_numbers(self, gamma_l):
+        with pytest.raises(ValidationError, match="^gamma_l must be"):
+            x_state_concurrence(0.5, 0.5, 0.1, 0.1, gamma_l)
+
 
 def _t_for_gamma(g, bath):
     # invert kappa_l^2 Gamma(t) = g for kappa_l = 1 on a lookup grid

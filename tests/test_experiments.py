@@ -33,6 +33,9 @@ from dephasim.entanglement import _CHUNK, _concurrence_block, _pack, concurrence
 from dephasim.experiments import COLLAPSE_FLOOR, _clip_v, _product_states
 
 
+_SPIN = SpinInit(p=0.5, v=0.48)
+
+
 @pytest.fixture(scope="module")
 def bath():
     return BathConfig()
@@ -71,6 +74,12 @@ class TestTimeSeries:
             time_series(cfg, std_ens, bath)
         ts = time_series(cfg, std_ens, bath, t_max=5.0, steps=50)
         assert np.all(ts.concurrence == ts.concurrence[0])
+
+    def test_underflowing_coupling_requires_t_max(self, std_ens):
+        # kappa_eff^2 = 5e-324 is not 0, but kappa_eff^2 nu_c underflows to 0
+        cfg = CouplingConfig(kappa_c=2.3e-162, N=2)
+        with pytest.raises(ValidationError, match="t_max is required"):
+            time_series(cfg, std_ens, BathConfig(epsilon=0.1), steps=10)
 
     def test_auto_steps_grow_with_n(self, bath, std_ens):
         cfg = CouplingConfig(kappa_c=0.4, N=4000)
@@ -117,6 +126,18 @@ class TestTimeSeries:
         cfg = CouplingConfig(kappa_c=0.1, N=4)
         with pytest.raises(ValidationError, match="steps must be an integer"):
             time_series(cfg, std_ens, bath, steps=steps)
+
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"t_max": 10**400}, "t_max"),
+        ({"t_max": "5"}, "t_max"),
+        ({"t_max": 0}, "t_max"),
+        ({"tau_max": "x"}, "tau_max"),
+        ({"tau_max": 10**400}, "tau_max"),
+    ])
+    def test_malformed_window_rejected(self, bath, std_ens, kwargs, field):
+        cfg = CouplingConfig(kappa_c=0.1, N=4)
+        with pytest.raises(ValidationError, match="^%s must be" % field):
+            time_series(cfg, std_ens, bath, **kwargs)
 
     def test_integral_float_steps_accepted(self, bath, std_ens):
         cfg = CouplingConfig(kappa_c=0.1, N=4)
@@ -291,6 +312,20 @@ class TestSweeps:
     def test_sweep_kappa_rejects_nonpositive(self, bath, std_ens, kappa_values):
         with pytest.raises(ValidationError, match="positive couplings"):
             sweep_kappa(kappa_values, CouplingConfig(kappa_c=0.1, N=4), std_ens, bath)
+
+    @pytest.mark.parametrize(
+        "sweep, field",
+        [
+            (lambda cfg, ens, bath: sweep_kappa(["x"], cfg, ens, bath), "kappa_values"),
+            (lambda cfg, ens, bath: sweep_kappa([0.1, 10**400], cfg, ens, bath), "kappa_values"),
+            (lambda cfg, ens, bath: sweep_eta(["x"], [4], cfg, ens, bath), "eta_values"),
+            (lambda cfg, ens, bath: sweep_eta([0.1, None], [4], cfg, ens, bath), "eta_values"),
+        ],
+        ids=["kappa-str", "kappa-huge", "eta-str", "eta-none"],
+    )
+    def test_non_number_sweep_values_rejected(self, bath, std_ens, sweep, field):
+        with pytest.raises(ValidationError, match="^%s must be" % field):
+            sweep(CouplingConfig(kappa_c=0.1, N=4), std_ens, bath)
 
     @pytest.mark.parametrize("steps", [0, 1])
     def test_too_few_steps_rejected(self, bath, std_ens, steps):
@@ -619,11 +654,23 @@ class TestGridPV:
             {"gamma_c_knob": math.nan},
             {"gamma_c_knob": -math.inf},
             {"gamma_c_knob": -1e-300},
+            {"s_knob": "x"},
+            {"gamma_l_knob": None},
+            {"gamma_c_knob": 10**400},
         ],
     )
     def test_rejects_bad_knobs(self, knobs):
         with pytest.raises(ValidationError, match=next(iter(knobs))):
             grid_pv(np.linspace(0.0, 1.0, 3), np.linspace(0.0, 0.5, 3), **knobs)
+
+    @pytest.mark.parametrize("axes, field", [
+        ((["x"],), "values1"),
+        (([0.5], [None]), "values2"),
+        (([10**400],), "values1"),
+    ])
+    def test_rejects_non_number_axis_values(self, axes, field):
+        with pytest.raises(ValidationError, match="^%s must be" % field):
+            grid_pv(*axes)
 
 
 class TestLimitsCompare:
@@ -649,6 +696,17 @@ class TestLimitsCompare:
         spin = SpinInit(p=0.5, v=0.48)
         with pytest.raises(ValidationError, match="N must be an integer >= 2"):
             limits_compare(0.1, n_values, 30.0, spin, spin, kappa_c=0.2, bath=bath)
+
+    @pytest.mark.parametrize("args, field", [
+        (("x", [5], 3.0, _SPIN, _SPIN), "eta"),
+        ((10**400, [5], 3.0, _SPIN, _SPIN), "eta"),
+        ((0.1, [5], "x", _SPIN, _SPIN), "t"),
+        ((0.1, [5], 3.0, None, _SPIN), "spin1"),
+        ((0.1, [5], 3.0, _SPIN, 0.5), "spin2"),
+    ])
+    def test_malformed_argument_rejected(self, bath, args, field):
+        with pytest.raises(ValidationError, match="^%s must be" % field):
+            limits_compare(*args, 0.2, bath=bath)
 
     def test_boundary_rejected(self, bath):
         spin = SpinInit(p=0.5, v=0.48)
