@@ -190,12 +190,17 @@ def _bracket(x):
     return np.where(small, series, direct)
 
 
+def _floats(x, message):
+    """x as a float array; ValidationError(message) if it is not numbers or overflows a float."""
+    try:
+        return np.asarray(x, dtype=float)
+    except (TypeError, ValueError, OverflowError):  # not numbers, or an int too large for a float
+        raise ValidationError(message) from None
+
+
 def _times(t, cfg, name):
     """t as a float array; ValidationError unless each t is finite and >= 0 and k_c t is finite."""
-    try:
-        t = np.asarray(t, dtype=float)
-    except (TypeError, ValueError, OverflowError):  # not numbers, or an int too large for a float
-        raise ValidationError("%s requires finite t >= 0" % name) from None
+    t = _floats(t, "%s requires finite t >= 0" % name)
     if t.size:
         lo, hi = float(t.min()), float(t.max())  # a NaN fails both tests
         if not (lo >= 0 and hi < math.inf):
@@ -342,7 +347,7 @@ def dephasing_grid(times, cfg=None):
     grid lets a sweep share one bath evaluation across configurations.
     """
     cfg = cfg if cfg is not None else BathConfig()
-    t = np.asarray(times, dtype=float)
+    t = _floats(times, "dephasing_grid requires finite t >= 0")
     if t.ndim != 1:
         raise ValidationError("dephasing_grid expects a one dimensional time grid")
     if np.any(t < 0):

@@ -47,7 +47,7 @@ import numbers
 
 import numpy as np
 
-from .bath import BathConfig, decay_Gamma, phase_S
+from .bath import BathConfig, _floats, decay_Gamma, phase_S
 from .errors import NumericalError, ValidationError, _real
 
 __all__ = [
@@ -217,7 +217,7 @@ def _background_from_S(S, cfg, ens, doubled=False):
 def background_factor(t, cfg, ens, bath=None, doubled=False):
     """P_N(t), or tilde_P_N(t) when doubled, for scalar or array t."""
     bath = bath if bath is not None else BathConfig()
-    t_arr = np.asarray(t, dtype=float)
+    t_arr = _floats(t, "background_factor requires finite t >= 0")
     out = _background_from_S(np.atleast_1d(phase_S(t_arr, bath)), cfg, ens, doubled)
     return out.reshape(t_arr.shape) if t_arr.ndim else complex(out[0])
 
@@ -366,7 +366,7 @@ def limit_state_large_eta(t, s1, s2, cfg, ens, bath=None):
 def tau_of_t(t, cfg, bath=None):
     """Rescaled time tau = (kappa_c / N^eta)^2 nu_c t."""
     bath = bath if bath is not None else BathConfig()
-    return cfg.effective_kappa_c**2 * bath.nu_c * np.asarray(t, dtype=float)
+    return cfg.effective_kappa_c**2 * bath.nu_c * _floats(t, "tau_of_t requires real t")
 
 
 def t_of_tau(tau, cfg, bath=None):
@@ -375,7 +375,7 @@ def t_of_tau(tau, cfg, bath=None):
     scale = cfg.effective_kappa_c**2 * bath.nu_c
     if scale == 0:
         raise ValidationError("rescaled time is undefined for kappa_c = 0")
-    return np.asarray(tau, dtype=float) / scale
+    return _floats(tau, "t_of_tau requires real tau") / scale
 
 
 def validate_two_qubit(rho):

@@ -63,9 +63,14 @@ def _real(x, name, low=-math.inf, high=math.inf, what="finite"):
 
 
 def _integer(x, name):
-    """x as an int, if it is integral (3.0 and numpy integers are); else ValidationError."""
-    if not isinstance(x, numbers.Integral) and not (
-        isinstance(x, numbers.Real) and float(x).is_integer()
-    ):
-        raise ValidationError("%s must be an integer, got %r" % (name, x))
-    return int(x)
+    """x as an int, if it is integral (3.0, Fraction(6, 2) and numpy integers are).
+
+    Else ValidationError.  Integrality is decided exactly, with no
+    float(x), which overflows on Fraction(10**400).
+    """
+    try:
+        if isinstance(x, numbers.Real) and x == math.floor(x):
+            return int(x)
+    except (OverflowError, ValueError):  # math.floor of an infinity or a NaN
+        pass
+    raise ValidationError("%s must be an integer, got %r" % (name, x))

@@ -312,8 +312,8 @@ class TestDeterminism:
         pkg_root = os.path.dirname(os.path.dirname(dephasim.__file__))
         inherited = os.environ.get("PYTHONPATH")
         pythonpath = pkg_root + (os.pathsep + inherited if inherited else "")
-        # the sweeps run on one thread, so OpenBLAS's pool is the only
-        # thread count the program sees
+        # the sweeps split their points across processes, not threads, so
+        # OpenBLAS's pool is the only thread count the program sees
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=pythonpath)
         cmd = [sys.executable, "-m", "dephasim.cli"] + argv + ["--output", "out.csv"]
         proc = subprocess.run(cmd, cwd=outdir, env=env, capture_output=True)

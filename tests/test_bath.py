@@ -264,6 +264,11 @@ class TestNonNumericTime:
         with pytest.raises(ValidationError, match="requires finite t >= 0"):
             func(t, BathConfig())
 
+    @pytest.mark.parametrize("times", [["x"], [0, 10**400]], ids=["str", "huge-int"])
+    def test_dephasing_grid_rejects_as_validation(self, times):
+        with pytest.raises(ValidationError, match="^dephasing_grid requires finite t >= 0"):
+            dephasing_grid(times, BathConfig())
+
 
 class TestHugeTime:
     # k_c t = 1e280: the squares in the direct branches overflow to inf, and

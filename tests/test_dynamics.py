@@ -603,6 +603,18 @@ class TestRescaledTime:
         back = t_of_tau(tau_of_t(t, cfg, bath), cfg, bath)
         np.testing.assert_allclose(back, t, rtol=1e-14)
 
+    @pytest.mark.parametrize("func, name", [
+        (lambda t, cfg, ens: tau_of_t(t, cfg), "tau_of_t"),
+        (lambda t, cfg, ens: t_of_tau(t, cfg), "t_of_tau"),
+        (background_factor, "background_factor"),
+    ])
+    @pytest.mark.parametrize("t", ["x", [0.0, "x"], 10**400])
+    def test_non_numeric_time_rejected(self, func, name, t):
+        spin = SpinInit(p=0.5, v=0.48)
+        ens = EnsembleConfig(spin1=spin, spin2=spin)
+        with pytest.raises(ValidationError, match="^%s requires" % name):
+            func(t, CouplingConfig(kappa_c=0.3, N=4), ens)
+
     def test_zero_coupling_has_no_inverse(self):
         with pytest.raises(ValidationError, match="kappa_c = 0"):
             t_of_tau(1.0, CouplingConfig(kappa_c=0.0, N=4), BathConfig())

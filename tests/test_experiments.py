@@ -1,7 +1,11 @@
 """Tests for the sweep drivers and series summaries."""
 
 from dataclasses import replace
+from fractions import Fraction
 import math
+import os
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -121,10 +125,20 @@ class TestTimeSeries:
         with pytest.raises(NumericalError, match="non-finite matrix entries"):
             time_series(cfg, std_ens, bath, grid=DephasingGrid(**bad))
 
-    @pytest.mark.parametrize("steps", [2.5, 1e3 + 0.5, math.nan, math.inf])
+    @pytest.mark.parametrize("steps", [
+        2.5, 1e3 + 0.5, math.nan, math.inf,
+        pytest.param(Fraction(10**400) + Fraction(1, 2), id="huge-fraction"),
+    ])
     def test_non_integral_steps_rejected(self, bath, std_ens, steps):
         cfg = CouplingConfig(kappa_c=0.1, N=4)
         with pytest.raises(ValidationError, match="steps must be an integer"):
+            time_series(cfg, std_ens, bath, steps=steps)
+
+    @pytest.mark.parametrize("steps", [10**400, Fraction(10**400)], ids=["int", "fraction"])
+    def test_huge_integral_steps_rejected(self, bath, std_ens, steps):
+        # integrality is decided without float(steps), which overflows
+        cfg = CouplingConfig(kappa_c=0.1, N=4)
+        with pytest.raises(ValidationError, match=r"^steps = 10{400} is too large"):
             time_series(cfg, std_ens, bath, steps=steps)
 
     @pytest.mark.parametrize("kwargs, field", [
@@ -360,8 +374,7 @@ class TestSweeps:
         with pytest.raises(ValidationError, match="no points"):
             sweep(CouplingConfig(kappa_c=0.1, N=4), std_ens, bath)
 
-    @pytest.mark.parametrize("n", [4.5, 100.7, math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize(
+    _N_SWEEPS = pytest.mark.parametrize(
         "sweep",
         [
             lambda n, cfg, ens, bath: sweep_N([4, n], cfg, ens, bath, steps=50),
@@ -371,9 +384,21 @@ class TestSweeps:
         ],
         ids=["sweep_N", "sweep_eta", "limits_compare"],
     )
+
+    @pytest.mark.parametrize("n", [
+        4.5, 100.7, math.nan, math.inf, -math.inf,
+        pytest.param(Fraction(10**400) + Fraction(1, 2), id="huge-fraction"),
+    ])
+    @_N_SWEEPS
     def test_non_integral_n_rejected(self, bath, std_ens, sweep, n):
         # int(n) would run 4.5 as 4 and 100.7 as 100, and raise ValueError on NaN
         with pytest.raises(ValidationError, match="N must be an integer"):
+            sweep(n, CouplingConfig(kappa_c=0.1, N=4), std_ens, bath)
+
+    @pytest.mark.parametrize("n", [10**400, Fraction(10**400)], ids=["int", "fraction"])
+    @_N_SWEEPS
+    def test_huge_integral_n_rejected(self, bath, std_ens, sweep, n):
+        with pytest.raises(ValidationError, match=r"^N\^eta must be finite"):
             sweep(n, CouplingConfig(kappa_c=0.1, N=4), std_ens, bath)
 
     @pytest.mark.parametrize("n", [8.0, np.int64(8), np.float64(8.0)])
@@ -419,6 +444,132 @@ class TestSweepWarnings:
         assert res.meta["warnings"][0].startswith("auto step cap reached")
         single = time_series(CouplingConfig(kappa_c=0.2, N=3000), std_ens)
         assert res.meta["warnings"] == single.meta["warnings"]
+
+
+class _Stop(BaseException):
+    """Raised in the parent's share, past _share's Exception handler."""
+
+
+class TestForkedSweeps:
+    """_sweep splits its points across forked workers; rows, meta and errors are a serial run's."""
+
+    SWEEPS = {
+        "sweep_N-shared-grid": lambda cfg, ens: sweep_N([2, 5, 9, 4, 12], cfg, ens, tau_max=1.0,
+                                                         steps=300),
+        "sweep_N-eta": lambda cfg, ens: sweep_N([2, 5, 9, 4, 12], replace(cfg, eta=0.3), ens,
+                                                tau_max=1.0, steps=300),
+        "sweep_kappa-warns": lambda cfg, ens: sweep_kappa([0.1, 0.2, 0.05], cfg, ens, steps=50),
+        "sweep_eta-odd": lambda cfg, ens: sweep_eta([0.0, 0.3, 0.5], [4, 10, 22], cfg, ens,
+                                                    tau_max=1.0, steps=300),
+    }
+    # child-share: only point 1 fails, and a child runs it on 2 or 3 CPUs.
+    # both-shares: points 2 and 3 fail, differently (test_failures_differ_by_point);
+    # on 2 CPUs the parent runs point 2, on 3 CPUs the parent runs point 3.
+    FAILING = {
+        "child-share": lambda cfg, ens: sweep_eta([0.0, 400.0, 0.0], [4], cfg, ens, steps=50),
+        "both-shares": lambda cfg, ens: sweep_eta([0.0, 400.0], [4, 1000], cfg, ens, steps=50),
+    }
+
+    @staticmethod
+    def _cpus(monkeypatch, n):
+        """Make n CPUs available, and return the list that records each os.fork."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+        forks, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        return forks
+
+    @staticmethod
+    def _all_reaped():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("sweep", SWEEPS.values(), ids=SWEEPS.keys())
+    def test_rows_and_meta_match_serial(self, monkeypatch, std_ens, sweep):
+        cfg = CouplingConfig(kappa_c=0.2, N=2)
+        forks = self._cpus(monkeypatch, 1)
+        serial = sweep(cfg, std_ens)
+        assert not forks
+        forks = self._cpus(monkeypatch, 3)
+        split = sweep(cfg, std_ens)
+        assert len(forks) == 2
+        assert repr(split.rows) == repr(serial.rows)
+        assert split.meta == serial.meta
+        self._all_reaped()
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    @pytest.mark.parametrize("sweep", FAILING.values(), ids=FAILING.keys())
+    def test_earliest_failure_raised(self, monkeypatch, std_ens, sweep, cpus):
+        cfg = CouplingConfig(kappa_c=0.1, N=2)
+        self._cpus(monkeypatch, 1)
+        with pytest.raises(ValidationError) as serial:
+            sweep(cfg, std_ens)
+        forks = self._cpus(monkeypatch, cpus)
+        with pytest.raises(ValidationError) as split:
+            sweep(cfg, std_ens)
+        assert forks
+        assert type(split.value) is type(serial.value)
+        assert str(split.value) == str(serial.value)
+        self._all_reaped()
+
+    def test_failures_differ_by_point(self, std_ens):
+        # so the test above tells the earliest failure from a later one
+        cfg = CouplingConfig(kappa_c=0.1, N=2)
+        with pytest.raises(ValidationError, match="collective coupling is zero"):
+            sweep_eta([400.0], [4], cfg, std_ens, steps=50)
+        with pytest.raises(ValidationError, match=r"N\^eta must be finite"):
+            sweep_eta([400.0], [1000], cfg, std_ens, steps=50)
+
+    def test_worker_without_results_is_an_error(self, monkeypatch):
+        self._cpus(monkeypatch, 2)
+        parent = os.getpid()
+
+        def fn(x):
+            if os.getpid() != parent:
+                os._exit(3)
+            return x
+
+        with pytest.raises(RuntimeError, match="ended without its results"):
+            experiments._forked_map(fn, [1, 2, 3])
+        self._all_reaped()
+
+    def test_parent_failure_kills_workers(self, monkeypatch):
+        self._cpus(monkeypatch, 3)
+        parent = os.getpid()
+
+        def fn(x):
+            if os.getpid() == parent:
+                raise _Stop
+            time.sleep(60)
+
+        start = time.monotonic()
+        with pytest.raises(_Stop):
+            experiments._forked_map(fn, [1, 2, 3])
+        assert time.monotonic() - start < 30
+        self._all_reaped()
+
+    def test_live_thread_runs_serially(self, monkeypatch, std_ens):
+        cfg = CouplingConfig(kappa_c=0.2, N=2)
+        sweep = self.SWEEPS["sweep_eta-odd"]
+        forks = self._cpus(monkeypatch, 3)
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            res = sweep(cfg, std_ens)
+        finally:
+            stop.set()
+            thread.join()
+        assert not forks
+        assert repr(res.rows) == repr(sweep(cfg, std_ens).rows)
+        assert len(forks) == 2
+
+    def test_without_fork_runs_serially(self, monkeypatch, std_ens):
+        cfg = CouplingConfig(kappa_c=0.2, N=2)
+        sweep = self.SWEEPS["sweep_kappa-warns"]
+        self._cpus(monkeypatch, 3)
+        split = sweep(cfg, std_ens)
+        monkeypatch.delattr(os, "fork")
+        assert repr(sweep(cfg, std_ens).rows) == repr(split.rows)
 
 
 class TestMeta:
