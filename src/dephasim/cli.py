@@ -1,14 +1,18 @@
 """Command line front end mapping each study to one subcommand.
 
 Subcommands: timeseries, sweep-kappa, sweep-n, grid-pv, sweep-eta,
-limits, fit.  Every run resolves its configuration from defaults, an
-optional ``--config`` file of ``key = value`` lines, and command line
-flags, in that order of precedence (flags win).  Tables are emitted as
-CSV (``#``-prefixed metadata, then a header row, then the body in
-blocks of rows) or JSON (one object with ``meta`` and ``rows``).  CSV
-writes floats as ``%.17g`` and JSON as Python's shortest ``repr``; both
-read back exactly, and identical configurations produce byte-identical
-files.
+limits, fit.  One table, ``_SCHEMAS``, declares each subcommand's
+options as (converter, default, help), and ``_RUNNERS`` maps each
+subcommand to its library call.  Every run resolves its configuration
+from defaults, an optional ``--config`` file of ``key = value`` lines,
+and command line flags, in that order of precedence (flags win).  The
+text of every flag and config value passes through its option's
+converter in one place, ``_convert``, so a bad value reads "invalid
+value for KEY: ..." from either source.  Tables are emitted as CSV
+(``#``-prefixed metadata, then a header row, then the body in blocks of
+rows) or JSON (one object with ``meta`` and ``rows``).  CSV writes
+floats as ``%.17g`` and JSON as Python's shortest ``repr``; both read
+back exactly, and identical configurations produce byte-identical files.
 
 Exit codes: 0 success, 2 usage or validation, 3 I/O, 4 numerical failure.
 """
@@ -25,6 +29,8 @@ from .bath import BathConfig
 from .dynamics import CouplingConfig, EnsembleConfig, SpinInit
 from .errors import DephasimError, NumericalError, ValidationError
 from .experiments import (
+    TAU_WINDOW,
+    SweepResult,
     fit_exponential,
     grid_pv,
     limits_compare,
@@ -34,130 +40,116 @@ from .experiments import (
     time_series,
 )
 
-_PI = math.pi
 
-# schema entry: (type tag, default, help)
+def _auto(convert):
+    """convert, or None for the text auto or none."""
+    return lambda raw: None if raw.lower() in ("auto", "none") else convert(raw)
+
+
+def _list(convert):
+    """A comma separated list of convert's values; empty items are skipped."""
+    return lambda raw: [convert(x) for x in raw.split(",") if x.strip()]
+
+
+def _choice(*choices):
+    """The text itself, if it is one of choices."""
+    def choose(raw):
+        if raw not in choices:
+            raise ValueError("must be one of %s" % ", ".join(choices))
+        return raw
+    return choose
+
+
+# schema entry: (converter from text, raising ValueError; default; help)
 _COMMON_PHYSICS = {
-    "kappa_c": ("float", 0.05, "collective coupling strength"),
-    "kappa_l": ("float", 0.0, "local coupling strength"),
-    "eta": ("float", 0.0, "scaling exponent in kappa_c / N^eta"),
-    "epsilon": ("float", 1.0, "cutoff to thermal frequency ratio"),
-    "theta": ("float", 1.0, "dimensionless temperature"),
+    "kappa_c": (float, 0.05, "collective coupling strength"),
+    "kappa_l": (float, 0.0, "local coupling strength"),
+    "eta": (float, 0.0, "scaling exponent in kappa_c / N^eta"),
+    "epsilon": (float, 1.0, "cutoff to thermal frequency ratio"),
+    "theta": (float, 1.0, "dimensionless temperature"),
 }
 _COMMON_STATE = {
-    "p": ("float", 0.5, "population of each retained spin"),
-    "v": ("float", 0.48, "coherence of each retained spin"),
-    "background_p": ("float", 0.5, "population of the traced out spins"),
+    "p": (float, 0.5, "population of each retained spin"),
+    "v": (float, 0.48, "coherence of each retained spin"),
+    "background_p": (float, 0.5, "population of the traced out spins"),
 }
 _COMMON_GRID = {
-    "tau_max": ("float", 2.0 * _PI, "rescaled time window"),
-    "steps": ("maybe_int", None, "grid points (default: auto resolution)"),
+    "tau_max": (float, TAU_WINDOW, "rescaled time window"),
+    "steps": (_auto(int), None, "grid points (default: auto resolution)"),
 }
 _COMMON_OUT = {
-    "output": ("str", "-", "output path, - for stdout"),
-    "format": ("choice:csv,json", "csv", "output format"),
+    "output": (str, "-", "output path, - for stdout"),
+    "format": (_choice("csv", "json"), "csv", "output format"),
 }
+# the options of a time-series study: timeseries and the three sweeps
+_STUDY = {**_COMMON_PHYSICS, **_COMMON_STATE, **_COMMON_GRID, **_COMMON_OUT}
 
 _SCHEMAS = {
     "timeseries": {
-        **_COMMON_PHYSICS,
-        **_COMMON_STATE,
-        **_COMMON_GRID,
-        **_COMMON_OUT,
-        "n": ("int", 2, "total spin count"),
-        "t_max": ("maybe_float", None, "explicit time window (overrides tau_max)"),
+        **_STUDY,
+        "n": (int, 2, "total spin count"),
+        "t_max": (_auto(float), None, "explicit time window (overrides tau_max)"),
     },
     "sweep-kappa": {
-        **_COMMON_PHYSICS,
-        **_COMMON_STATE,
-        **_COMMON_GRID,
-        **_COMMON_OUT,
-        "n": ("int", 2, "total spin count"),
-        "kappa_values": ("floats", [0.04, 0.1, 0.2, 0.4], "couplings to sweep"),
+        **_STUDY,
+        "n": (int, 2, "total spin count"),
+        "kappa_values": (_list(float), [0.04, 0.1, 0.2, 0.4], "couplings to sweep"),
     },
     "sweep-n": {
-        **_COMMON_PHYSICS,
-        **_COMMON_STATE,
-        **_COMMON_GRID,
-        **_COMMON_OUT,
-        "n_min": ("int", 2, "smallest N"),
-        "n_max": ("int", 200, "largest N"),
-        "n_step": ("int", 2, "N increment"),
+        **_STUDY,
+        "n_min": (int, 2, "smallest N"),
+        "n_max": (int, 200, "largest N"),
+        "n_step": (int, 2, "N increment"),
     },
     "grid-pv": {
         **_COMMON_PHYSICS,
         **_COMMON_GRID,
         **_COMMON_OUT,
-        "mode": ("choice:symmetric-pv,dynamic-corner", "symmetric-pv", "grid mode"),
-        "grid_points": ("maybe_int", None, "points per axis (51 symmetric, 26 dynamic)"),
-        "n": ("int", 40, "total spin count (dynamic mode)"),
-        "background_p": ("float", 0.5, "population of the traced out spins"),
-        "s_knob": ("float", _PI / 2.0, "abstract phase kappa^2 S (symmetric mode)"),
-        "gamma_l_knob": ("float", 0.0, "abstract local exponent (symmetric mode)"),
-        "gamma_c_knob": ("float", 0.0, "abstract collective exponent (symmetric mode)"),
+        "mode": (_choice("symmetric-pv", "dynamic-corner"), "symmetric-pv", "grid mode"),
+        "grid_points": (_auto(int), None, "points per axis (51 symmetric, 26 dynamic)"),
+        "n": (int, 40, "total spin count (dynamic mode)"),
+        "background_p": (float, 0.5, "population of the traced out spins"),
+        "s_knob": (float, math.pi / 2.0, "abstract phase kappa^2 S (symmetric mode)"),
+        "gamma_l_knob": (float, 0.0, "abstract local exponent (symmetric mode)"),
+        "gamma_c_knob": (float, 0.0, "abstract collective exponent (symmetric mode)"),
     },
     "sweep-eta": {
-        **_COMMON_PHYSICS,
-        **_COMMON_STATE,
-        **_COMMON_GRID,
-        **_COMMON_OUT,
-        "kappa_c": ("float", 0.2, "collective coupling strength"),
-        "eta_values": ("floats", [0.0, 0.1, 0.25, 0.3, 0.4, 0.5], "exponents to sweep"),
-        "n_min": ("int", 4, "smallest N"),
-        "n_max": ("int", 60, "largest N"),
-        "n_step": ("int", 2, "N increment"),
+        **_STUDY,
+        "kappa_c": (float, 0.2, "collective coupling strength"),
+        "eta_values": (_list(float), [0.0, 0.1, 0.25, 0.3, 0.4, 0.5], "exponents to sweep"),
+        "n_min": (int, 4, "smallest N"),
+        "n_max": (int, 60, "largest N"),
+        "n_step": (int, 2, "N increment"),
     },
     "limits": {
         **_COMMON_PHYSICS,
         **_COMMON_STATE,
         **_COMMON_OUT,
-        "kappa_c": ("float", 0.2, "collective coupling strength"),
-        "eta": ("float", 0.1, "scaling exponent in kappa_c / N^eta"),
-        "n_values": ("ints", [100, 1000, 10000, 100000], "spin counts to compare"),
-        "t": ("float", 30.0, "comparison time"),
+        "kappa_c": (float, 0.2, "collective coupling strength"),
+        "eta": (float, 0.1, "scaling exponent in kappa_c / N^eta"),
+        "n_values": (_list(int), [100, 1000, 10000, 100000], "spin counts to compare"),
+        "t": (float, 30.0, "comparison time"),
     },
     "fit": {
         **_COMMON_OUT,
-        "input": ("str", None, "table to refit (CSV or JSON)"),
-        "x": ("str", "n", "abscissa column"),
-        "y": ("str", "c_max", "ordinate column"),
-        "n_min": ("maybe_float", None, "lower fit range bound"),
-        "n_max": ("maybe_float", None, "upper fit range bound"),
+        "input": (str, None, "table to refit (CSV or JSON)"),
+        "x": (str, "n", "abscissa column"),
+        "y": (str, "c_max", "ordinate column"),
+        "n_min": (_auto(float), None, "lower fit range bound"),
+        "n_max": (_auto(float), None, "upper fit range bound"),
     },
 }
 
 # a sweep sets the value it sweeps at each point, so it takes none
 del _SCHEMAS["sweep-kappa"]["kappa_c"], _SCHEMAS["sweep-eta"]["eta"]
 
-_REQUIRED = {"fit": ("input",)}
 
-
-def _convert(name, tag, raw):
+def _convert(name, convert, raw):
     # raw is a flag's or a config file's text; defaults are not converted
-    raw = raw.strip()
     try:
-        if tag == "float":
-            return float(raw)
-        if tag == "int":
-            return int(raw, 10)
-        if tag == "str":
-            return raw
-        if tag == "maybe_int":
-            return None if raw.lower() in ("auto", "none") else int(raw, 10)
-        if tag == "maybe_float":
-            return None if raw.lower() in ("auto", "none") else float(raw)
-        if tag == "floats":
-            return [float(x) for x in raw.split(",") if x.strip()]
-        if tag == "ints":
-            return [int(x, 10) for x in raw.split(",") if x.strip()]
-        if tag.startswith("choice:"):
-            choices = tag.split(":", 1)[1].split(",")
-            if raw not in choices:
-                raise ValueError("must be one of %s" % ", ".join(choices))
-            return raw
+        return convert(raw.strip())
     except ValueError as exc:
         raise ValidationError("invalid value for %s: %s" % (name, exc)) from exc
-    raise ValidationError("unknown option type %r" % (tag,))
 
 
 def _read_config_file(path):
@@ -192,7 +184,7 @@ def _build_parser():
         # no prefix matching: sweep-eta --eta must not mean --eta-values
         sp = sub.add_parser(name, prog="dephasim %s" % name, allow_abbrev=False)
         sp.add_argument("--config", default=None, help="key = value file; flags win")
-        for key, (_tag, _default, help_text) in schema.items():
+        for key, (_, _, help_text) in schema.items():
             sp.add_argument(
                 "--%s" % key.replace("_", "-"),
                 dest=key,
@@ -222,9 +214,6 @@ def parse_args(argv):
     for key in schema:
         if hasattr(ns, key):
             resolved[key] = _convert(key, schema[key][0], getattr(ns, key))
-    for key in _REQUIRED.get(sub, ()):
-        if resolved.get(key) is None:
-            raise ValidationError("%s requires --%s" % (sub, key.replace("_", "-")))
     return sub, resolved
 
 
@@ -354,47 +343,22 @@ def _table(res):
     return res.columns, data, _info_from(res.meta)
 
 
+def _study(vals):
+    """A time-series study's coupling, ensemble, bath, tau_max and steps, in the sweeps' order."""
+    return _coupling(vals), _ensemble(vals), _bath(vals), vals["tau_max"], vals["steps"]
+
+
 def _run_timeseries(vals):
-    ts = time_series(
-        _coupling(vals),
-        _ensemble(vals),
-        _bath(vals),
-        t_max=vals["t_max"],
-        steps=vals["steps"],
-        tau_max=vals["tau_max"],
-    )
+    cfg, ens, bath, tau_max, steps = _study(vals)
+    ts = time_series(cfg, ens, bath, t_max=vals["t_max"], steps=steps, tau_max=tau_max)
     data = (ts.t, ts.tau, ts.concurrence, ts.abs_p_n, ts.S, ts.gamma_l, ts.gamma_c)
     return ts.columns, data, _info_from(ts.meta)
-
-
-def _run_sweep_kappa(vals):
-    res = sweep_kappa(
-        vals["kappa_values"], _coupling(vals), _ensemble(vals), _bath(vals),
-        tau_max=vals["tau_max"], steps=vals["steps"],
-    )
-    return _table(res)
 
 
 def _n_list(vals):
     if vals["n_step"] <= 0:
         raise ValidationError("n_step must be positive")
     return list(range(vals["n_min"], vals["n_max"] + 1, vals["n_step"]))
-
-
-def _run_sweep_n(vals):
-    res = sweep_N(
-        _n_list(vals), _coupling(vals), _ensemble(vals), _bath(vals),
-        tau_max=vals["tau_max"], steps=vals["steps"],
-    )
-    return _table(res)
-
-
-def _run_sweep_eta(vals):
-    res = sweep_eta(
-        vals["eta_values"], _n_list(vals), _coupling(vals), _ensemble(vals), _bath(vals),
-        tau_max=vals["tau_max"], steps=vals["steps"],
-    )
-    return _table(res)
 
 
 def _run_grid_pv(vals):
@@ -404,7 +368,7 @@ def _run_grid_pv(vals):
         raise ValidationError("grid_points must be >= 1, got %d" % gp)
     if mode == "symmetric-pv":
         gp = 51 if gp is None else gp
-        res = grid_pv(
+        return grid_pv(
             np.linspace(0.0, 1.0, gp),
             np.linspace(0.0, 0.5, gp),
             mode=mode,
@@ -412,29 +376,26 @@ def _run_grid_pv(vals):
             gamma_l_knob=vals["gamma_l_knob"],
             gamma_c_knob=vals["gamma_c_knob"],
         )
-    else:
-        gp = 26 if gp is None else gp
-        res = grid_pv(
-            np.linspace(0.0, 0.5, gp),
-            np.linspace(0.0, 0.5, gp),
-            mode=mode,
-            cfg=_coupling(vals),
-            ens_background=vals["background_p"],
-            bath=_bath(vals),
-            tau_max=vals["tau_max"],
-            steps=vals["steps"],
-        )
-    return _table(res)
+    gp = 26 if gp is None else gp
+    return grid_pv(
+        np.linspace(0.0, 0.5, gp),
+        np.linspace(0.0, 0.5, gp),
+        mode=mode,
+        cfg=_coupling(vals),
+        ens_background=vals["background_p"],
+        bath=_bath(vals),
+        tau_max=vals["tau_max"],
+        steps=vals["steps"],
+    )
 
 
 def _run_limits(vals):
     spin = SpinInit(p=vals["p"], v=vals["v"])
-    res = limits_compare(
+    return limits_compare(
         vals["eta"], vals["n_values"], vals["t"], spin, spin,
         kappa_c=vals["kappa_c"], kappa_l=vals["kappa_l"],
         background_p=vals["background_p"], bath=_bath(vals),
     )
-    return _table(res)
 
 
 def _read_table(path):
@@ -467,6 +428,8 @@ def _read_table(path):
 
 
 def _run_fit(vals):
+    if vals["input"] is None:
+        raise ValidationError("fit requires --input")
     columns, raw_rows = _read_table(vals["input"])
     for name in (vals["x"], vals["y"]):
         if name not in columns:
@@ -495,11 +458,12 @@ def _run_fit(vals):
     return cols, data, info
 
 
+# each returns (columns, data, info) or a SweepResult
 _RUNNERS = {
     "timeseries": _run_timeseries,
-    "sweep-kappa": _run_sweep_kappa,
-    "sweep-n": _run_sweep_n,
-    "sweep-eta": _run_sweep_eta,
+    "sweep-kappa": lambda vals: sweep_kappa(vals["kappa_values"], *_study(vals)),
+    "sweep-n": lambda vals: sweep_N(_n_list(vals), *_study(vals)),
+    "sweep-eta": lambda vals: sweep_eta(vals["eta_values"], _n_list(vals), *_study(vals)),
     "grid-pv": _run_grid_pv,
     "limits": _run_limits,
     "fit": _run_fit,
@@ -510,7 +474,8 @@ def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         sub, vals = parse_args(argv)
-        columns, data, info = _RUNNERS[sub](vals)
+        res = _RUNNERS[sub](vals)
+        columns, data, info = _table(res) if isinstance(res, SweepResult) else res
         config = dict(vals, subcommand=sub)
         emit(columns, data, config, info, vals.get("format", "csv"), vals.get("output", "-"))
     except ValidationError as exc:

@@ -585,8 +585,9 @@ def limits_compare(eta, n_values, t, s1, s2, kappa_c, kappa_l=0.0, background_p=
 def fit_exponential(n, y, n_range=None):
     """Least squares slope of ln y against n.
 
-    Points with y <= 0 (or outside n_range) are excluded and counted in
-    n_excluded; fewer than 3 usable points raises FitError.
+    Points whose n or y is not finite, or whose y <= 0, are excluded and
+    counted in n_excluded; points outside n_range are dropped uncounted.
+    Fewer than 3 usable points raises FitError.
     """
     n = np.asarray(n, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -595,8 +596,8 @@ def fit_exponential(n, y, n_range=None):
     in_range = np.ones(n.shape, dtype=bool)
     if n_range is not None:
         lo, hi = n_range
-        in_range = (n >= lo) & (n <= hi)
-    usable = in_range & np.isfinite(y) & (y > 0)
+        in_range = ((n >= lo) & (n <= hi)) | np.isnan(n)  # a nan n is not outside it
+    usable = in_range & np.isfinite(n) & np.isfinite(y) & (y > 0)
     excluded = int(np.count_nonzero(in_range & ~usable))
     x = n[usable]
     ly = np.log(y[usable])
@@ -630,6 +631,8 @@ def relative_spread(values):
     v = np.asarray(values, dtype=float)
     if v.size == 0:
         raise ValidationError("relative_spread of an empty set")
+    if not np.isfinite(v).all():
+        raise ValidationError("relative_spread needs finite values")
     mean = v.mean()
     if mean == 0:
         raise ValidationError("relative_spread undefined for zero mean")

@@ -213,16 +213,34 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv, want",
         [
-            (["grid-pv", "--mode", "foo"], "invalid value for mode: must be one of"),
-            (["timeseries", "--n", "abc"], "invalid value for n:"),
+            (["grid-pv", "--mode", "foo"],
+             "invalid value for mode: must be one of symmetric-pv, dynamic-corner"),
+            (["timeseries", "--n", "abc"],
+             "invalid value for n: invalid literal for int() with base 10: 'abc'"),
             (["sweep-n", "--n-step", "0"], "n_step must be positive"),
+            (["timeseries", "--kappa-c", "x"],
+             "invalid value for kappa_c: could not convert string to float: 'x'"),
+            (["timeseries", "--steps", "1.5"],
+             "invalid value for steps: invalid literal for int() with base 10: '1.5'"),
+            (["timeseries", "--t-max", "x"],
+             "invalid value for t_max: could not convert string to float: 'x'"),
+            (["sweep-kappa", "--kappa-values", "0.1,x"],
+             "invalid value for kappa_values: could not convert string to float: 'x'"),
+            (["limits", "--n-values", "100,1.5"],
+             "invalid value for n_values: invalid literal for int() with base 10: '1.5'"),
+            (["sweep-eta", "--config", "bad.cfg"],
+             "invalid value for eta_values: could not convert string to float: 'x'"),
         ],
-        ids=["choice", "int", "n-step"],
+        ids=["choice", "int", "n-step", "float", "auto-int", "auto-float", "float-list",
+             "int-list", "config"],
     )
-    def test_bad_option_value_is_validation(self, capsys, argv, want):
+    def test_bad_option_value_is_validation(self, tmp_path, monkeypatch, capsys, argv, want):
+        # the config case reads bad.cfg from the working directory
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bad.cfg").write_text("n_min = 6\neta_values = 0.1,x\n")
         code, out, err = _run(capsys, argv)
         assert code == 2 and not out
-        assert want in err
+        assert err == "dephasim: error: %s\n" % want
 
     @pytest.mark.parametrize("line, want", [("timeseries", 0), ("limits", 2)])
     def test_config_file_subcommand_line(self, tmp_path, capsys, line, want):
@@ -295,6 +313,15 @@ class TestExitCodes:
     def test_fit_requires_input(self, capsys):
         code, _, err = _run(capsys, ["fit"])
         assert code == 2
+
+    def test_fit_drops_non_finite_n(self, tmp_path, capsys):
+        table = tmp_path / "t.csv"
+        table.write_text("n,c_max\n2,0.5\nnan,0.3\n4,0.25\n6,0.125\n")
+        code, out, err = _run(capsys, ["fit", "--input", str(table)])
+        assert code == 0 and not err
+        row = dict(zip(*[ln.split(",") for ln in _data_lines(out)]))
+        assert row["n_used"] == "3" and row["n_excluded"] == "1"
+        assert float(row["slope"]) == pytest.approx(-math.log(2) / 2, rel=1e-12)
 
     def test_fit_too_few_points_is_numerical(self, tmp_path, capsys):
         table = tmp_path / "t.csv"

@@ -7,6 +7,7 @@ import os
 import threading
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -277,6 +278,16 @@ class TestFit:
         with pytest.raises(ValidationError, match="matching 1-D arrays"):
             fit_exponential(np.ones((2, 2)), np.ones((2, 2)))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("n_range", [None, (-math.inf, math.inf)])
+    def test_non_finite_n_excluded(self, bad, n_range):
+        # dropped and counted like y <= 0, with no RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = fit_exponential([1.0, 2.0, bad, 4.0], [1.0, 0.5, 0.25, 0.125], n_range)
+        want = fit_exponential([1.0, 2.0, 4.0], [1.0, 0.5, 0.125], n_range)
+        assert fit == replace(want, n_excluded=1)
+
     def test_equal_n_rejected(self):
         with pytest.raises(FitError, match="distinct n"):
             fit_exponential(np.full(4, 3.0), np.array([1.0, 0.5, 0.25, 0.125]))
@@ -293,6 +304,13 @@ class TestSpread:
     def test_zero_mean_rejected(self):
         with pytest.raises(ValidationError, match="zero mean"):
             relative_spread([-1.0, 1.0])
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_rejected(self, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="relative_spread needs finite values"):
+                relative_spread([1.0, bad])
 
     def test_known_value(self):
         x = np.array([1.0, 3.0])

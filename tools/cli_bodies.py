@@ -1,14 +1,22 @@
-"""Write the reference CLI bodies of this checkout, one file each.
+"""Write the reference CLI outputs of this checkout, one file each.
 
     python3 tools/cli_bodies.py OUTDIR
 
-Runs twenty-one `dephasim` commands that cover every subcommand, with
-the package imported from this checkout's src/.  Each command runs in
-OUTDIR and writes its body there with a relative --output, so the path
-recorded in the body's configuration header is the same from any
-checkout; the two fit commands read sweep bodies written before them.
-A command that exits non-zero or writes to stderr stops the script.  To
-compare two checkouts:
+Runs `dephasim` with the package imported from this checkout's src/,
+in OUTDIR, and writes there:
+
+- twenty-one bodies that cover every subcommand.  Each command writes
+  its body with a relative --output, so the path recorded in the body's
+  configuration header is the same from any checkout; the two fit
+  commands read sweep bodies written before them.  A body command that
+  exits non-zero or writes to stderr stops the script;
+- the --help text of `dephasim` and of each subcommand, at COLUMNS=80;
+- the exit code and stderr of nine invalid invocations: a bad value for
+  each kind of option that can reject one, fit without --input, and an
+  unknown key in a --config file.  An invocation that exits 0 or writes
+  to stdout stops the script.
+
+To compare two checkouts:
 
     python3 A/tools/cli_bodies.py /tmp/a && python3 B/tools/cli_bodies.py /tmp/b
     diff -r /tmp/a /tmp/b
@@ -52,6 +60,24 @@ BODIES = (
                                "--eta", "0.4", "--background-p", "0.3"]),
 )
 
+HELPS = ("", "timeseries", "sweep-kappa", "sweep-n", "grid-pv", "sweep-eta", "limits", "fit")
+
+# the --config file of the unknown-key invocation, written into OUTDIR
+CONFIG = ("unknown-key.cfg", "steps = 4\nmystery = 1\n")
+
+# output file name, then the arguments of an invocation that must fail
+ERRORS = (
+    ("error-float.txt", ["timeseries", "--kappa-c", "x"]),
+    ("error-int.txt", ["timeseries", "--n", "1.5"]),
+    ("error-auto-int.txt", ["timeseries", "--steps", "1.5"]),
+    ("error-auto-float.txt", ["timeseries", "--t-max", "x"]),
+    ("error-float-list.txt", ["sweep-kappa", "--kappa-values", "0.1,x"]),
+    ("error-int-list.txt", ["limits", "--n-values", "100,1.5"]),
+    ("error-choice.txt", ["grid-pv", "--mode", "foo"]),
+    ("error-fit-input.txt", ["fit"]),
+    ("error-config-key.txt", ["timeseries", "--config", CONFIG[0]]),
+)
+
 
 def main(argv):
     if len(argv) != 1:
@@ -59,12 +85,35 @@ def main(argv):
     out = pathlib.Path(argv[0])
     out.mkdir(parents=True, exist_ok=True)
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
+    env = dict(os.environ, PYTHONPATH=path, COLUMNS="80")
+
+    def run(args):
+        cmd = [sys.executable, "-m", "dephasim.cli"] + args
+        return subprocess.run(cmd, cwd=out, env=env, capture_output=True, text=True)
+
+    def stop(args, done):
+        sys.exit("%s exited %d:\n%s%s" % (" ".join(args), done.returncode, done.stdout,
+                                          done.stderr))
+
     for name, args in BODIES:
-        cmd = [sys.executable, "-m", "dephasim.cli"] + args + ["--output", name]
-        done = subprocess.run(cmd, cwd=out, env=env, stderr=subprocess.PIPE, text=True)
+        done = run(args + ["--output", name])
         if done.returncode or done.stderr:
-            sys.exit("%s exited %d:\n%s" % (" ".join(args), done.returncode, done.stderr))
+            stop(args, done)
+        print(name)
+    for sub in HELPS:
+        name = "help-%s.txt" % (sub or "dephasim")
+        args = [sub, "--help"] if sub else ["--help"]
+        done = run(args)
+        if done.returncode or done.stderr:
+            stop(args, done)
+        (out / name).write_text(done.stdout)
+        print(name)
+    (out / CONFIG[0]).write_text(CONFIG[1])
+    for name, args in ERRORS:
+        done = run(args)
+        if not done.returncode or done.stdout:
+            stop(args, done)
+        (out / name).write_text("exit %d\n%s" % (done.returncode, done.stderr))
         print(name)
 
 
