@@ -12,6 +12,8 @@ bits on any CPU count.  Processes, not threads: numpy's batched eigvalsh
 holds the interpreter lock, so on a 2-vCPU VM two threads of it took
 0.847 s against 0.862 s run serially, and a thread pool over points cost
 21% more CPU.
+The CLI sends the blocks of rows of a long table through _forked_map too,
+each block computed and formatted in one process (see cli).
 The points run serially in the calling process where there is no
 os.fork or os.sched_getaffinity (Windows, macOS), on one CPU, and while
 other Python threads run, since a fork copies only the calling thread.
@@ -159,8 +161,8 @@ def _meta(experiment, cfg, bath, swept=(), **extra):
     return meta
 
 
-def _resolve_grid(cfg, bath, t_max, steps, tau_max, meta):
-    """The DephasingGrid of cfg's window; resolution warnings go to meta["warnings"]."""
+def _resolve_times(cfg, bath, t_max, steps, tau_max, meta):
+    """The times of cfg's window; resolution warnings go to meta["warnings"]."""
     ke2 = cfg.effective_kappa_c**2
     if t_max is None:
         window = TAU_WINDOW if tau_max is None else _real(tau_max, "tau_max")
@@ -197,7 +199,12 @@ def _resolve_grid(cfg, bath, t_max, steps, tau_max, meta):
                 "time step %.3g exceeds a tenth of the background peak width %.3g"
                 % (t[1] - t[0], width)
             )
-    return dephasing_grid(t, bath)
+    return t
+
+
+def _resolve_grid(cfg, bath, t_max, steps, tau_max, meta):
+    """The DephasingGrid of cfg's window; resolution warnings go to meta["warnings"]."""
+    return dephasing_grid(_resolve_times(cfg, bath, t_max, steps, tau_max, meta), bath)
 
 
 def time_series(cfg, ens, bath=None, t_max=None, steps=None, tau_max=None, grid=None):
@@ -306,6 +313,13 @@ def _worker(fn, items, r, w):
         os._exit(status)
 
 
+def _processes():
+    """The processes _forked_map may split items across: the CPUs available, or 1."""
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and threading.active_count() == 1:
+        return len(os.sched_getaffinity(0))
+    return 1
+
+
 def _forked_map(fn, items):
     """[fn(x) for x in items], split across min(CPUs available, len(items)) processes.
 
@@ -319,9 +333,7 @@ def _forked_map(fn, items):
     Without os.fork or os.sched_getaffinity, on one CPU, or while other
     threads run, fn runs over the items here, one after another.
     """
-    n = 1
-    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and threading.active_count() == 1:
-        n = min(len(os.sched_getaffinity(0)), len(items))
+    n = min(_processes(), len(items))
     if n < 2:
         return [fn(x) for x in items]
     children = []  # (pid, read end of its pipe), until reaped
@@ -348,7 +360,7 @@ def _forked_map(fn, items):
             pipe.close()
             if status or not data:
                 raise RuntimeError(
-                    "sweep worker %d ended without its results (wait status %d)" % (pid, status)
+                    "worker %d ended without its results (wait status %d)" % (pid, status)
                 )
             shares.append(pickle.loads(data))
     finally:
@@ -587,7 +599,8 @@ def fit_exponential(n, y, n_range=None):
 
     Points whose n or y is not finite, or whose y <= 0, are excluded and
     counted in n_excluded; points outside n_range are dropped uncounted.
-    Fewer than 3 usable points raises FitError.
+    A NaN bound of n_range is a ValidationError, and fewer than 3 usable
+    points a FitError.
     """
     n = np.asarray(n, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -596,6 +609,9 @@ def fit_exponential(n, y, n_range=None):
     in_range = np.ones(n.shape, dtype=bool)
     if n_range is not None:
         lo, hi = n_range
+        if math.isnan(lo) or math.isnan(hi):
+            raise ValidationError("fit_exponential's n_range must not hold NaN, got %r"
+                                  % (n_range,))
         in_range = ((n >= lo) & (n <= hi)) | np.isnan(n)  # a nan n is not outside it
     usable = in_range & np.isfinite(n) & np.isfinite(y) & (y > 0)
     excluded = int(np.count_nonzero(in_range & ~usable))

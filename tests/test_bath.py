@@ -188,6 +188,12 @@ class TestGaussRule:
         np.testing.assert_allclose(x, x_ref, rtol=0.0, atol=1e-15)
         np.testing.assert_allclose(w, w_ref, rtol=2e-12)
 
+    def test_vander_matches_legvander(self):
+        # the same recurrence, so the same bits and the same memory layout
+        want = np.polynomial.legendre.legvander(bath_module._RULE[0], bath_module._TERMS - 1)
+        assert np.array_equal(bath_module._VANDER, want)
+        assert bath_module._VANDER.strides == want.strides
+
     def test_discrete_orthogonality(self):
         # sum_i w_i P_j(x_i) P_k(x_i) = 2 delta_jk/(2j + 1) while j + k < 2n
         x, w = bath_module._RULE

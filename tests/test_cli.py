@@ -323,6 +323,15 @@ class TestExitCodes:
         assert row["n_used"] == "3" and row["n_excluded"] == "1"
         assert float(row["slope"]) == pytest.approx(-math.log(2) / 2, rel=1e-12)
 
+    @pytest.mark.parametrize("flag", ["--n-min", "--n-max"])
+    def test_fit_nan_bound_is_validation(self, tmp_path, capsys, flag):
+        table = tmp_path / "t.csv"
+        table.write_text("n,c_max\n2,0.5\n4,0.25\n6,0.125\n")
+        code, out, err = _run(capsys, ["fit", "--input", str(table), flag, "nan"])
+        assert code == 2 and not out
+        assert err == "dephasim: error: fit_exponential's n_range must not hold NaN, got %r\n" % (
+            (math.nan, math.inf) if flag == "--n-min" else (-math.inf, math.nan),)
+
     def test_fit_too_few_points_is_numerical(self, tmp_path, capsys):
         table = tmp_path / "t.csv"
         table.write_text("n,c_max\n2,0\n4,0\n6,0\n")
@@ -460,6 +469,109 @@ class TestBlockWriter:
         echo = "# config: output = %s\n"
         assert written.replace(echo % path, echo % "-") == out
         assert len(_data_lines(out)) == 20001
+
+
+class TestForkedBodies:
+    """A body's blocks are computed and formatted across forked processes, a window at a time.
+
+    Its bytes are those of the whole-grid time_series, written serially.
+    """
+
+    # 30000 rows: blocks of 8192, 8192, 8192 and 5424 rows
+    ARGV = ["timeseries", "--n", "4", "--kappa-l", "0.1", "--steps", "30000"]
+    # (CPUs, blocks per process in a window) -> forks: windows of 3 CPUs x 1 block are
+    # blocks [0, 1, 2] and [3], of 2 CPUs x 1 block [0, 1] and [2, 3]; the others hold all 4
+    FORKS = {(1, 1): 0, (1, 3): 0, (2, 1): 2, (2, 3): 1, (3, 1): 2, (3, 3): 2}
+
+    @staticmethod
+    def _cpus(monkeypatch, n):
+        """Make n CPUs available, and return the list that records each os.fork."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+        forks, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        return forks
+
+    @staticmethod
+    def _all_reaped():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @staticmethod
+    def _whole_grid(argv, capsys):
+        """main's exit code, stdout body and stderr, with time_series run on the whole grid."""
+        sub, vals = parse_args(argv)
+        try:
+            cfg, ens, bath, tau_max, steps = cli._study(vals)
+            ts = cli.time_series(cfg, ens, bath, t_max=vals["t_max"], steps=steps, tau_max=tau_max)
+        except dephasim.ValidationError as exc:
+            return 2, "", "dephasim: error: %s\n" % exc
+        except dephasim.NumericalError as exc:
+            return 4, "", "dephasim: numerical failure: %s\n" % exc
+        data = [ts.t, ts.tau, ts.concurrence, ts.abs_p_n, ts.S, ts.gamma_l, ts.gamma_c]
+        cli.emit(ts.columns, data, dict(vals, subcommand=sub), cli._info_from(ts.meta),
+                 vals["format"], "-")
+        return 0, capsys.readouterr().out, ""
+
+    @pytest.mark.parametrize("window", [1, 3])
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_bytes_match_whole_grid(self, monkeypatch, tmp_path, capsys, fmt, cpus, window):
+        argv = self.ARGV + ["--format", fmt]
+        self._cpus(monkeypatch, 1)
+        want = self._whole_grid(argv + ["--output", "-"], capsys)[1]
+        monkeypatch.setattr(cli, "_WINDOW_BLOCKS", window)
+        forks = self._cpus(monkeypatch, cpus)
+        code, out, err = _run(capsys, argv + ["--output", "-"])
+        assert (code, err) == (0, "")
+        assert out == want
+        assert len(forks) == self.FORKS[cpus, window]
+        self._all_reaped()
+        path = tmp_path / ("out." + fmt)
+        assert main(argv + ["--output", str(path)]) == 0
+        assert len(forks) == 2 * self.FORKS[cpus, window]
+        echo = ("# config: output = %s\n" if fmt == "csv" else '"output": "%s"')
+        assert path.read_text(encoding="utf-8") == want.replace(echo % "-", echo % path, 1)
+        self._all_reaped()
+
+    @pytest.mark.parametrize("steps, forks", [(8192, 0), (8193, 1)])
+    def test_one_block_never_forks(self, monkeypatch, capsys, steps, forks):
+        recorded = self._cpus(monkeypatch, 3)
+        code, out, _ = _run(capsys, ["timeseries", "--steps", str(steps)])
+        assert code == 0 and len(_data_lines(out)) == steps + 1
+        assert len(recorded) == forks
+        self._all_reaped()
+
+    def test_short_tables_never_fork(self, monkeypatch, capsys):
+        forks = self._cpus(monkeypatch, 3)
+        code, _, _ = _run(capsys, ["grid-pv", "--mode", "symmetric-pv"])  # 2601 rows
+        assert code == 0 and not forks
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["--n", "4", "--steps", "20000", "--t-max", "1e300", "--epsilon", "1e10"], 2),
+            (["--steps", "20000", "--epsilon", "1e100", "--t-max", "1e200"], 2),
+            (["--steps", "20000", "--t-max", "1e-320"], 2),
+            (["--n", "4", "--kappa-c", "1e100", "--epsilon", "1e-300", "--theta", "1e-8"], 4),
+        ],
+        ids=["cutoff-times-t", "phase", "not-increasing", "tail-estimate"],
+    )
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_rejected_before_output(self, monkeypatch, tmp_path, capsys, argv, code, cpus):
+        # each fails in some blocks of the grid only, or names the grid's last time
+        want = self._whole_grid(["timeseries"] + argv, capsys)
+        assert want[0] == code
+        forks = self._cpus(monkeypatch, cpus)
+        path = tmp_path / "out.csv"
+        assert _run(capsys, ["timeseries"] + argv + ["--output", str(path)]) == want
+        assert not path.exists() and not forks
+
+    def test_rejected_message(self, capsys):
+        code, _, err = _run(capsys, ["timeseries", "--n", "4", "--steps", "20000",
+                                     "--t-max", "1e300", "--epsilon", "1e10"])
+        assert code == 2
+        assert err == ("dephasim: error: phase_S's input overflows: "
+                       "k_c * t = 10000000000.0 * 1e+300 is not finite\n")
 
 
 class TestRoundTrip:
@@ -645,6 +757,13 @@ class TestChildProcess:
         proc = _child(["-c", code], tmp_path)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"
+
+    def test_import_loads_no_polynomial(self, tmp_path):
+        # bath builds its Legendre table itself; importing numpy.polynomial takes ms
+        code = "import sys, dephasim.cli; print('numpy.polynomial' in sys.modules)"
+        proc = _child(["-c", code], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
 
     def test_import_calls_no_lapack(self, tmp_path):
         # numpy's leggauss takes its nodes from eigvalsh; a LAPACK call at

@@ -288,6 +288,14 @@ class TestFit:
         want = fit_exponential([1.0, 2.0, 4.0], [1.0, 0.5, 0.125], n_range)
         assert fit == replace(want, n_excluded=1)
 
+    @pytest.mark.parametrize("n_range", [(math.nan, 10.0), (1.0, math.nan), (math.nan, math.nan),
+                                         (np.float64("nan"), math.inf)])
+    def test_nan_bound_rejected(self, n_range):
+        # every point would fall outside the range, a FitError of the input's making
+        n = np.arange(1.0, 11.0)
+        with pytest.raises(ValidationError, match="n_range must not hold NaN"):
+            fit_exponential(n, np.exp(-0.1 * n), n_range)
+
     def test_equal_n_rejected(self):
         with pytest.raises(FitError, match="distinct n"):
             fit_exponential(np.full(4, 3.0), np.array([1.0, 0.5, 0.25, 0.125]))

@@ -5,11 +5,14 @@
 Runs `dephasim` with the package imported from this checkout's src/,
 in OUTDIR, and writes there:
 
-- twenty-one bodies that cover every subcommand.  Each command writes
-  its body with a relative --output, so the path recorded in the body's
-  configuration header is the same from any checkout; the two fit
-  commands read sweep bodies written before them.  A body command that
-  exits non-zero or writes to stderr stops the script;
+- twenty-three bodies that cover every subcommand.  Each command but
+  the last writes its body with a relative --output, so the path
+  recorded in the body's configuration header is the same from any
+  checkout; the two fit commands read sweep bodies written before them.
+  The last writes to stdout (--output -), which the script saves.  The
+  long time series run through several blocks of rows, in CSV and JSON,
+  to a file and to stdout.  A body command that exits non-zero or writes
+  to stderr stops the script;
 - the --help text of `dephasim` and of each subcommand, at COLUMNS=80;
 - the exit code and stderr of nine invalid invocations: a bad value for
   each kind of option that can reject one, fit without --input, and an
@@ -35,6 +38,7 @@ BODIES = (
     ("timeseries-n40-kappa-l.csv", ["timeseries", "--n", "40", "--kappa-l", "0.3"]),
     ("timeseries.json", ["timeseries", "--n", "4", "--format", "json"]),
     ("timeseries-100000.csv", ["timeseries", "--n", "4", "--kappa-c", "0.05", "--steps", "100000"]),
+    ("timeseries-20000.json", ["timeseries", "--steps", "20000", "--format", "json"]),
     ("timeseries-negative-v.csv", ["timeseries", "--n", "6", "--p", "0.3", "--v", "-0.3",
                                    "--background-p", "0.2", "--kappa-l", "0.2"]),
     ("sweep-n.csv", ["sweep-n"]),
@@ -59,6 +63,10 @@ BODIES = (
     ("limits-negative-v.csv", ["limits", "--p", "0.4", "--v", "-0.3", "--kappa-l", "0.2",
                                "--eta", "0.4", "--background-p", "0.3"]),
 )
+
+# the body written to stdout, saved under this name
+STDOUT = ("timeseries-stdout.csv", ["timeseries", "--n", "6", "--kappa-l", "0.1", "--steps",
+                                    "30000"])
 
 HELPS = ("", "timeseries", "sweep-kappa", "sweep-n", "grid-pv", "sweep-eta", "limits", "fit")
 
@@ -95,10 +103,12 @@ def main(argv):
         sys.exit("%s exited %d:\n%s%s" % (" ".join(args), done.returncode, done.stdout,
                                           done.stderr))
 
-    for name, args in BODIES:
-        done = run(args + ["--output", name])
+    for name, args in BODIES + (STDOUT,):
+        done = run(args + ["--output", "-" if name == STDOUT[0] else name])
         if done.returncode or done.stderr:
             stop(args, done)
+        if name == STDOUT[0]:
+            (out / name).write_text(done.stdout)
         print(name)
     for sub in HELPS:
         name = "help-%s.txt" % (sub or "dephasim")
