@@ -12,23 +12,27 @@ value for KEY: ..." from either source.  Tables are emitted as CSV
 (``#``-prefixed metadata, then a header row, then the body in blocks of
 rows) or JSON (one object with ``meta`` and ``rows``).  CSV writes
 floats as ``%.17g`` and JSON as Python's shortest ``repr``; both read
-back exactly, and identical configurations produce byte-identical files.
+back exactly, and on one host and numpy build identical configurations
+produce byte-identical files (numpy's SIMD level moves some bits).
 
 A body of more than one block is split across the available CPUs by
-experiments._forked_map: each block's rows are computed and formatted
-in one process, and the text comes back to be written in order.  The
-timeseries runner hands emit not columns but _Rows, which evaluate
-time_series on a block's slice of the grid, so the computation is split
-too: formatting alone in a child saved 3% of wall time for 23% more
-CPU, both together about 30% for under 8%.  The runner resolves
-the whole grid, and makes dephasing_grid's checks on it, before any
-output is opened, so an input that the whole grid rejects still fails
-with the same message and leaves no file.
+one experiments._forked_map, which forks once per further CPU whatever
+the body's length: each block's rows are computed and formatted in one
+process, and the texts stream back to be written in order, so each
+process holds about one block.  The timeseries runner hands emit not
+columns but _Rows, which evaluate time_series on a block's slice of the
+grid, so the computation is split too: formatting alone in a child
+saved 3% of wall time for 23% more CPU, both together about 30% for
+under 8%.  The runner resolves the whole grid, and makes
+dephasing_grid's checks on it, before any output is opened, so an
+input that the whole grid rejects still fails with the same message
+and leaves no file.
 
 Exit codes: 0 success, 2 usage or validation, 3 I/O, 4 numerical failure.
 """
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -45,7 +49,6 @@ from .experiments import (
     SweepResult,
     TimeSeries,
     _forked_map,
-    _processes,
     _resolve_times,
     fit_exponential,
     grid_pv,
@@ -237,8 +240,6 @@ def parse_args(argv):
 _FLOAT = "%.17g"
 # rows computed and formatted per step of the CSV and JSON bodies
 _BLOCK_ROWS = 8192
-# blocks per process in each window of a body's forked stage
-_WINDOW_BLOCKS = 3
 
 
 def _fmt(x):
@@ -297,19 +298,16 @@ def _body(rows, cells, text):
     """text(start, cell texts of the rows) for each block of _BLOCK_ROWS rows, in order.
 
     A block's columns are fetched and formatted in one process, a column
-    listed twice once.  The blocks go through experiments._forked_map in
-    windows of _WINDOW_BLOCKS per process, and a window's texts are
-    yielded, to be written, before the next window starts.
+    listed twice once.  The blocks go through one experiments._forked_map,
+    which streams their texts back in order, so each process holds about
+    one block while the texts are written.
     """
     def block(start):
         data = rows.fetch(start, min(start + _BLOCK_ROWS, rows.n))
         texts = {key: cells(col) for key, col in {id(col): col for col in data}.items()}
         return text(start, zip(*(texts[id(col)] for col in data)))
 
-    starts = range(0, rows.n, _BLOCK_ROWS)
-    window = _WINDOW_BLOCKS * _processes()
-    for first in range(0, len(starts), window):
-        yield from _forked_map(block, starts[first:first + window])
+    return _forked_map(block, range(0, rows.n, _BLOCK_ROWS))
 
 
 def _json_chunks(columns, rows, config, info):
@@ -349,15 +347,18 @@ def _csv_chunks(columns, rows, config, info):
 def emit(columns, data, config, info, fmt, path):
     """Write a table; CSV keeps a # metadata block above the header.
 
-    data is the table's columns, or its _Rows.
+    data is the table's columns, or its _Rows.  The chunks are closed on
+    the way out, so a write that fails kills and reaps the body's forked
+    children at once.
     """
     rows = data if isinstance(data, _Rows) else _slices(data)
     chunks = (_csv_chunks if fmt == "csv" else _json_chunks)(columns, rows, config, info)
-    if path == "-":
-        sys.stdout.writelines(chunks)
-    else:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(chunks)
+    with contextlib.closing(chunks):
+        if path == "-":
+            sys.stdout.writelines(chunks)
+        else:
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.writelines(chunks)
 
 
 def _ensemble(cfg_values):

@@ -68,17 +68,17 @@ recomputed at 50 digits.
 A block of n states travels as entry arrays: a dict E with
 E[i, j] = (re, im) for i >= j, two contiguous (n,) float arrays holding
 rho[i, j], zeros as the diagonal's im; the upper triangle is the
-conjugate of the lower, the part eigh reads.  Only the screens take an
-entry as real: _pt_entry gives rho^{T_B}'s diagonal as (re, None).  dynamics
-forms evolved states and factors in this form, so no experiments driver
-builds a (T, 4, 4) stack of factors or states; concurrence_series and
+conjugate of the lower, the part eigh reads, and the screens read
+rho^{T_B}'s diagonal as the same pairs (_pt_entry).  dynamics forms
+evolved states and factors in this form, so no experiments driver builds
+a (T, 4, 4) stack of factors or states; concurrence_series and
 concurrence unpack their stacks into it once (_entries), and only the
 states inside the screen's band below, which need LAPACK's LU on whole
 matrices, are packed back (_pack).
 Stacks are walked in blocks of _CHUNK states, so temporaries stay a few
-MiB however long the series; a 100 000 point CLI timeseries run peaks at
-48.8 MiB of RSS, against 94.0 MiB when its factors and states were
-formed whole and 30.7 MiB for importing the CLI.
+MiB however long the series; started from a small process on a 2-CPU
+VM, a 100 000 point CLI timeseries run peaks at 45.4 MiB of RSS in its
+largest process, of which importing the CLI takes 30.1 MiB.
 
 The screen computes det(rho^{T_B}) of each state by Laplace expansion
 over the six pairs of complementary 2 x 2 minors, rows 0-1 against rows
@@ -392,25 +392,21 @@ def _lambdas(E):
 
 
 def _mul(x, y):
-    """x y for (re, im) pairs; im is None only on the diagonal of rho^{T_B} (_pt_entry)."""
+    """x y for (re, im) pairs."""
     (a, b), (c, d) = x, y
-    if b is None and d is None:
-        return a * c, None
-    if b is None or d is None:
-        return a * c, (a * d if b is None else b * c)
     return a * c - b * d, a * d + b * c
 
 
 def _sub(x, y):
-    """x - y for (re, im) pairs; x may be real (_mul), y holds an off-diagonal factor."""
+    """x - y for (re, im) pairs."""
     (a, b), (c, d) = x, y
-    return a - c, (-d if b is None else b - d)
+    return a - c, b - d
 
 
 def _pt_entry(E, r, c):
-    """rho^{T_B}[r, c] of a block of entry arrays, as an (re, im) pair; (re, None) if r == c."""
+    """rho^{T_B}[r, c] of a block of entry arrays, as an (re, im) pair."""
     if r == c:
-        return E[r, r][0], None
+        return E[r, r]
     # T_B swaps the second qubit's indices: [2a + b, 2a' + b'] <- [2a + b', 2a' + b]
     i, j = (r & 2) | (c & 1), (c & 2) | (r & 1)
     if i > j:
@@ -505,11 +501,10 @@ def _pt_terms(E):
     """The 24 Leibniz products prod_i rho^{T_B}[i, sigma_i] of a block of entry arrays.
 
     Returns a (n, 48) array: their real parts, then their imaginary parts,
-    each in the order of _SIGN; the real product of the diagonal gets zeros.
+    each in the order of _SIGN.
     """
     terms = [_mul(top, bot) for _, tops, bots in _pt_minors(E) for top in tops for bot in bots]
-    zero = np.zeros(len(E[0, 0][0]))
-    return np.stack([re for re, _ in terms] + [zero if im is None else im for _, im in terms], 1)
+    return np.stack([re for re, _ in terms] + [im for _, im in terms], 1)
 
 
 def _certified_separable(cells, F):

@@ -7,13 +7,15 @@ configuration.  Each driver returns a table whose rows (a list) come in
 input order, with a meta dict of its configuration and grid warnings.
 sweep_N, sweep_kappa and sweep_eta are axes of one driver, _sweep, whose
 points are split across min(CPUs available, points) forked processes
-(_forked_map) and merged back in input order, so a table has the same
-bits on any CPU count.  Processes, not threads: numpy's batched eigvalsh
-holds the interpreter lock, so on a 2-vCPU VM two threads of it took
-0.847 s against 0.862 s run serially, and a thread pool over points cost
-21% more CPU.
-The CLI sends the blocks of rows of a long table through _forked_map too,
-each block computed and formatted in one process (see cli).
+by _forked_map, which yields their results in input order, so a table
+has the same bits on any CPU count.  Processes, not threads: numpy's
+batched eigvalsh holds the interpreter lock, so on a 2-vCPU VM two
+threads of it took 0.847 s against 0.862 s run serially, and a thread
+pool over points cost 21% more CPU.
+The CLI sends the blocks of rows of a long table through one _forked_map
+too, each block computed and formatted in one process (see cli); a
+child's results stream back as they are made, so each process holds
+about one block.
 The points run serially in the calling process where there is no
 os.fork or os.sched_getaffinity (Windows, macOS), on one CPU, and while
 other Python threads run, since a fork copies only the calling thread.
@@ -285,59 +287,52 @@ def collapse_time(series):
     return CollapseResult(tau_c=math.nan, status="no-collapse")
 
 
-def _share(fn, items):
-    """fn over items up to the first that raises: (results, that exception or None)."""
-    results = []
-    try:
-        for x in items:
-            results.append(fn(x))
-    except Exception as exc:
-        return results, exc
-    return results, None
-
-
 def _worker(fn, items, r, w):
-    """A forked child's whole life: its share, pickled into the pipe w, then os._exit.
+    """A forked child's whole life: fn over its items, each result pickled into the pipe w.
 
-    It never returns, so the child cannot run on in its caller's code or
-    flush the buffers it copied; a share that does not pickle exits 1.
+    A failing item's exception is sent in its place and ends the items.
+    The child never returns, so it cannot run on in its caller's code or
+    flush the buffers it copied; a result that does not pickle exits 1.
     """
     status = 1
     try:
         os.close(r)
-        data = pickle.dumps(_share(fn, items))
         with open(w, "wb") as pipe:
-            pipe.write(data)
+            for x in items:
+                try:
+                    message = fn(x), None
+                except Exception as exc:
+                    message = None, exc
+                pipe.write(pickle.dumps(message))
+                pipe.flush()
+                if message[1] is not None:
+                    break
         status = 0
     finally:
         os._exit(status)
 
 
-def _processes():
-    """The processes _forked_map may split items across: the CPUs available, or 1."""
-    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and threading.active_count() == 1:
-        return len(os.sched_getaffinity(0))
-    return 1
-
-
 def _forked_map(fn, items):
-    """[fn(x) for x in items], split across min(CPUs available, len(items)) processes.
+    """map(fn, items), split across min(CPUs available, len(items)) processes.
 
     With n processes, this one runs items[0::n] and forked child k runs
-    items[k::n], each stopping at its first failing item; a child sends
-    its results, and its exception if one, back pickled through a pipe.
-    The results merge in input order.  The exception of the earliest
-    failing item is raised, as a serial run raises it, and a child that
-    ends without sending its share is an error.  Every child is reaped
-    (killed first, if this process fails) before this returns or raises.
-    Without os.fork or os.sched_getaffinity, on one CPU, or while other
-    threads run, fn runs over the items here, one after another.
+    items[k::n], sending each result through a pipe as soon as it is
+    made; a child blocks while its pipe is full, so each process holds
+    about one unread result.  The results are yielded in input order,
+    and the first failing item's exception is raised in its place, as a
+    serial loop raises it; a child that ends before sending a result is
+    an error.  Every child is killed and reaped before this returns,
+    raises or is closed.  Without os.fork or os.sched_getaffinity, on
+    one CPU, or while other threads run, fn runs over the items here,
+    one after another.
     """
-    n = min(_processes(), len(items))
+    n = 1
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and threading.active_count() == 1:
+        n = min(len(os.sched_getaffinity(0)), len(items))
     if n < 2:
-        return [fn(x) for x in items]
+        yield from map(fn, items)
+        return
     children = []  # (pid, read end of its pipe), until reaped
-    shares = []
     try:
         for k in range(1, n):
             r, w = os.pipe()
@@ -351,32 +346,23 @@ def _forked_map(fn, items):
                 _worker(fn, items[k::n], r, w)
             os.close(w)
             children.append((pid, open(r, "rb")))
-        shares.append(_share(fn, items[0::n]))
-        while children:
-            pid, pipe = children[0]
-            data = pipe.read()
-            status = os.waitpid(pid, 0)[1]
-            children.pop(0)
-            pipe.close()
-            if status or not data:
-                raise RuntimeError(
-                    "worker %d ended without its results (wait status %d)" % (pid, status)
-                )
-            shares.append(pickle.loads(data))
+        for i, x in enumerate(items):
+            if i % n == 0:
+                yield fn(x)
+                continue
+            pid, pipe = children[i % n - 1]
+            try:
+                result, exc = pickle.load(pipe)
+            except (EOFError, pickle.UnpicklingError):
+                raise RuntimeError("worker %d ended without its results" % pid) from None
+            if exc is not None:
+                raise exc
+            yield result
     finally:
-        if children:  # this process failed; signal is not imported up top, at 0.7 ms
-            import signal
         for pid, pipe in children:
-            os.kill(pid, signal.SIGKILL)
+            os.kill(pid, 9)  # SIGKILL; signal is not imported, at 0.7 ms
             os.waitpid(pid, 0)
             pipe.close()
-    failed = [(k + n * len(done), exc) for k, (done, exc) in enumerate(shares) if exc is not None]
-    if failed:
-        raise min(failed)[1]  # the indices differ, so no two exceptions are compared
-    results = [None] * len(items)
-    for k, (done, _) in enumerate(shares):
-        results[k::n] = done
-    return results
 
 
 def _sweep(experiment, axes, cfg, ens, bath, tau_max, steps):
@@ -411,8 +397,8 @@ def _sweep(experiment, axes, cfg, ens, bath, tau_max, steps):
 
     columns = tuple(_KEYS[f] for f in fields)
     rows = []
-    for key, (row, warnings) in zip(keys, _forked_map(statistics, keys)):
-        label = ", ".join("%s=%s" % kv for kv in zip(columns, key))
+    for row, warnings in _forked_map(statistics, keys):  # to its end, so the children are reaped
+        label = ", ".join("%s=%s" % kv for kv in zip(columns, row))
         meta["warnings"].extend("%s: %s" % (label, w) for w in warnings)
         rows.append(row)
     columns += ("c_max", "tau_peak", "tau_c", "status")

@@ -472,16 +472,14 @@ class TestBlockWriter:
 
 
 class TestForkedBodies:
-    """A body's blocks are computed and formatted across forked processes, a window at a time.
+    """A body's blocks are computed and formatted across processes forked once per body.
 
     Its bytes are those of the whole-grid time_series, written serially.
     """
 
-    # 30000 rows: blocks of 8192, 8192, 8192 and 5424 rows
-    ARGV = ["timeseries", "--n", "4", "--kappa-l", "0.1", "--steps", "30000"]
-    # (CPUs, blocks per process in a window) -> forks: windows of 3 CPUs x 1 block are
-    # blocks [0, 1, 2] and [3], of 2 CPUs x 1 block [0, 1] and [2, 3]; the others hold all 4
-    FORKS = {(1, 1): 0, (1, 3): 0, (2, 1): 2, (2, 3): 1, (3, 1): 2, (3, 3): 2}
+    ARGV = ["timeseries", "--n", "4", "--kappa-l", "0.1"]
+    # CPUs -> forks, for a body of any length above one block
+    FORKS = {1: 0, 2: 1, 3: 2}
 
     @staticmethod
     def _cpus(monkeypatch, n):
@@ -512,23 +510,23 @@ class TestForkedBodies:
                  vals["format"], "-")
         return 0, capsys.readouterr().out, ""
 
-    @pytest.mark.parametrize("window", [1, 3])
+    # 30000 rows are 4 blocks of at most 8192 rows, 100000 rows 13
+    @pytest.mark.parametrize("steps", [30000, 100000])
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_bytes_match_whole_grid(self, monkeypatch, tmp_path, capsys, fmt, cpus, window):
-        argv = self.ARGV + ["--format", fmt]
+    def test_bytes_match_whole_grid(self, monkeypatch, tmp_path, capsys, fmt, cpus, steps):
+        argv = self.ARGV + ["--steps", str(steps), "--format", fmt]
         self._cpus(monkeypatch, 1)
         want = self._whole_grid(argv + ["--output", "-"], capsys)[1]
-        monkeypatch.setattr(cli, "_WINDOW_BLOCKS", window)
         forks = self._cpus(monkeypatch, cpus)
         code, out, err = _run(capsys, argv + ["--output", "-"])
         assert (code, err) == (0, "")
         assert out == want
-        assert len(forks) == self.FORKS[cpus, window]
+        assert len(forks) == self.FORKS[cpus]
         self._all_reaped()
         path = tmp_path / ("out." + fmt)
         assert main(argv + ["--output", str(path)]) == 0
-        assert len(forks) == 2 * self.FORKS[cpus, window]
+        assert len(forks) == 2 * self.FORKS[cpus]
         echo = ("# config: output = %s\n" if fmt == "csv" else '"output": "%s"')
         assert path.read_text(encoding="utf-8") == want.replace(echo % "-", echo % path, 1)
         self._all_reaped()
@@ -539,6 +537,15 @@ class TestForkedBodies:
         code, out, _ = _run(capsys, ["timeseries", "--steps", str(steps)])
         assert code == 0 and len(_data_lines(out)) == steps + 1
         assert len(recorded) == forks
+        self._all_reaped()
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_output_error_reaps_children(self, monkeypatch, capsys, cpus):
+        forks = self._cpus(monkeypatch, cpus)
+        code, out, err = _run(capsys, ["timeseries", "--steps", "30000", "--output", "/dev/full"])
+        assert (code, out) == (3, "")
+        assert err.startswith("dephasim: I/O error: ")
+        assert len(forks) == self.FORKS[cpus]
         self._all_reaped()
 
     def test_short_tables_never_fork(self, monkeypatch, capsys):

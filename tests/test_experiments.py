@@ -473,7 +473,7 @@ class TestSweepWarnings:
 
 
 class _Stop(BaseException):
-    """Raised in the parent's share, past _share's Exception handler."""
+    """Raised in the parent's share; not an Exception, so no handler there catches it."""
 
 
 class TestForkedSweeps:
@@ -555,7 +555,7 @@ class TestForkedSweeps:
             return x
 
         with pytest.raises(RuntimeError, match="ended without its results"):
-            experiments._forked_map(fn, [1, 2, 3])
+            list(experiments._forked_map(fn, [1, 2, 3]))
         self._all_reaped()
 
     def test_parent_failure_kills_workers(self, monkeypatch):
@@ -569,8 +569,33 @@ class TestForkedSweeps:
 
         start = time.monotonic()
         with pytest.raises(_Stop):
-            experiments._forked_map(fn, [1, 2, 3])
+            list(experiments._forked_map(fn, [1, 2, 3]))
         assert time.monotonic() - start < 30
+        self._all_reaped()
+
+    def test_results_stream_before_failure(self, monkeypatch):
+        # item 3 fails in the child, which runs items 1, 3 and 5
+        forks = self._cpus(monkeypatch, 2)
+
+        def fn(x):
+            if x == 3:
+                raise ValueError("item 3")
+            return x * x
+
+        results = []
+        with pytest.raises(ValueError, match="item 3"):
+            for y in experiments._forked_map(fn, range(6)):
+                results.append(y)
+        assert results == [0, 1, 4]
+        assert len(forks) == 1
+        self._all_reaped()
+
+    def test_closed_stream_reaps_workers(self, monkeypatch):
+        forks = self._cpus(monkeypatch, 3)
+        stream = experiments._forked_map(lambda x: x, range(9))
+        assert next(stream) == 0
+        assert len(forks) == 2
+        stream.close()
         self._all_reaped()
 
     def test_live_thread_runs_serially(self, monkeypatch, std_ens):

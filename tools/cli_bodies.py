@@ -14,10 +14,11 @@ in OUTDIR, and writes there:
   to a file and to stdout.  A body command that exits non-zero or writes
   to stderr stops the script;
 - the --help text of `dephasim` and of each subcommand, at COLUMNS=80;
-- the exit code and stderr of nine invalid invocations: a bad value for
-  each kind of option that can reject one, fit without --input, and an
-  unknown key in a --config file.  An invocation that exits 0 or writes
-  to stdout stops the script.
+- the exit code and stderr of ten invalid invocations: a bad value for
+  each kind of option that can reject one, fit without --input, an
+  unknown key in a --config file, and a long body written to /dev/full
+  (exit 3).  An invocation that exits 0 or writes to stdout stops the
+  script.
 
 To compare two checkouts:
 
@@ -84,6 +85,7 @@ ERRORS = (
     ("error-choice.txt", ["grid-pv", "--mode", "foo"]),
     ("error-fit-input.txt", ["fit"]),
     ("error-config-key.txt", ["timeseries", "--config", CONFIG[0]]),
+    ("error-io.txt", ["timeseries", "--steps", "30000", "--output", "/dev/full"]),
 )
 
 
