@@ -3,8 +3,13 @@
 Sweeps the total spin number N at fixed coupling and fits exponentials
 to the peak concurrence and to the collapse time.  Past a threshold N
 the retained coherence v^2 = 0.2304 can no longer beat the population
-term sqrt(rho_11 rho_44) = 1/4, so the peak drops to exactly zero and
-the usable fit window ends there.
+term sqrt(rho_11 rho_44) = 1/4: the states are separable, and c_max is
+exactly 0 from N = 23 on.  That leaves 7 usable points (N = 10..22) in
+the fit window [10, 150], so the peak fit is not a law: its r^2 = 0.94
+misses the acceptance gate's 0.98.  This is the documented acceptance
+gap (see the README): two of the four failing acceptance tests fit this
+sweep, and the scaled-coupling sweeps behind the other two lose their
+points the same way.  The collapse-time fit rests on the same 7 points.
 """
 
 import numpy as np
@@ -30,15 +35,19 @@ tc = np.array(res.column("tau_c"))
 
 alive = c > 0
 print("last N with nonzero peak:", n[alive].max())
+print("c_max is exactly 0 at every N >= %d swept here (from N = 23 on, over every N)"
+      % n[~alive].min())
 print("\n  N    C_max       tau_c")
 for i in range(0, 12, 2):
     print("%4d  %.4e  %8.4f" % (n[i], c[i], tc[i]))
 
 fit_c = fit_exponential(n, c, n_range=(10, 150))
-print("\npeak fit   : slope=%.4f r^2=%.4f (%d points used, %d excluded)"
+print("\npeak fit   : slope=%.4f r^2=%.4f from the %d usable points in [10, 150]"
+      " (%d with c_max = 0 excluded)"
       % (fit_c.slope, fit_c.r_squared, fit_c.n_used, fit_c.n_excluded))
+print("             not a law: the documented acceptance gap (the gate asks r^2 >= 0.98)")
 
 ok = np.isfinite(tc) & (tc > 0)
 fit_t = fit_exponential(n[ok], tc[ok], n_range=(10, 150))
-print("collapse fit: slope=%.4f r^2=%.4f  => tau_c ~ exp(-%.4f N)"
-      % (fit_t.slope, fit_t.r_squared, -fit_t.slope))
+print("collapse fit: slope=%.4f r^2=%.4f from %d points  => tau_c ~ exp(-%.4f N)"
+      % (fit_t.slope, fit_t.r_squared, fit_t.n_used, -fit_t.slope))

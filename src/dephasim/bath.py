@@ -363,12 +363,6 @@ def dephasing_grid(times, cfg=None):
     grid lets a sweep share one bath evaluation across configurations.
     """
     cfg = cfg if cfg is not None else BathConfig()
-    t = _grid_times(times)
-    return DephasingGrid(t=t, S=phase_S(t, cfg), Gamma=decay_Gamma(t, cfg))
-
-
-def _grid_times(times):
-    """times as a float array, if dephasing_grid takes them as its grid; else ValidationError."""
     t = _floats(times, "dephasing_grid requires finite t >= 0")
     if t.ndim != 1:
         raise ValidationError("dephasing_grid expects a one dimensional time grid")
@@ -376,4 +370,4 @@ def _grid_times(times):
         raise ValidationError("dephasing_grid requires all t >= 0")
     if np.any(np.diff(t) <= 0):
         raise ValidationError("dephasing_grid requires strictly increasing times")
-    return t
+    return DephasingGrid(t=t, S=phase_S(t, cfg), Gamma=decay_Gamma(t, cfg))

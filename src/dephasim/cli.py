@@ -15,16 +15,17 @@ floats as ``%.17g`` and JSON as Python's shortest ``repr``; both read
 back exactly, and on one host and numpy build identical configurations
 produce byte-identical files (numpy's SIMD level moves some bits).
 
-A body of more than one block is split across the available CPUs by
-one experiments._forked_map, which forks once per further CPU whatever
-the body's length: each block's rows are computed and formatted in one
+A body of more than one block of entanglement._CHUNK rows, the blocks
+time_series scores in, is split across the available CPUs by one
+experiments._forked_map, which forks once per further CPU whatever the
+body's length: each block's rows are computed and formatted in one
 process, and the texts stream back to be written in order, so each
 process holds about one block.  The timeseries runner hands emit not
-columns but _Rows, which evaluate time_series on a block's slice of the
-grid, so the computation is split too: formatting alone in a child
-saved 3% of wall time for 23% more CPU, both together about 30% for
-under 8%.  The runner resolves the whole grid, and makes
-dephasing_grid's checks on it, before any output is opened, so an
+columns but _Rows, which run time_series on the dephasing_grid of a
+block's times, so the computation is split too: formatting alone in a
+child saved 3% of wall time for 23% more CPU, both together about 30%
+for under 8%.  Before any output is opened, the runner resolves the
+times, strictly increasing, and evaluates the bath at the last, so an
 input that the whole grid rejects still fails with the same message
 and leaves no file.
 
@@ -41,8 +42,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .bath import BathConfig, DephasingGrid, _grid_times, decay_Gamma, dephasing_grid, phase_S
+from .bath import BathConfig, dephasing_grid
 from .dynamics import CouplingConfig, EnsembleConfig, SpinInit
+from .entanglement import _CHUNK
 from .errors import DephasimError, NumericalError, ValidationError
 from .experiments import (
     TAU_WINDOW,
@@ -238,8 +240,6 @@ def parse_args(argv):
 
 # a float's text; _cells applies it to a whole float64 block at once
 _FLOAT = "%.17g"
-# rows computed and formatted per step of the CSV and JSON bodies
-_BLOCK_ROWS = 8192
 
 
 def _fmt(x):
@@ -285,36 +285,33 @@ class _Rows(NamedTuple):
 
 
 def _slices(data):
-    """The _Rows of a table given column by column; a column listed twice is sliced once."""
-
-    def fetch(start, stop):
-        parts = {}
-        return [parts.setdefault(id(col), col[start:stop]) for col in data]
-
-    return _Rows(len(data[0]) if data else 0, fetch)
+    """The _Rows of a table given column by column: each column's slice of the rows."""
+    return _Rows(len(data[0]) if data else 0,
+                 lambda start, stop: [col[start:stop] for col in data])
 
 
 def _body(rows, cells, text):
-    """text(start, cell texts of the rows) for each block of _BLOCK_ROWS rows, in order.
+    """text(start, cell texts of the rows) for each block of _CHUNK rows, in order.
 
-    A block's columns are fetched and formatted in one process, a column
-    listed twice once.  The blocks go through one experiments._forked_map,
-    which streams their texts back in order, so each process holds about
-    one block while the texts are written.
+    A block's columns are fetched and formatted in one process, and an
+    array that fetch returns for two columns is formatted once.  The
+    blocks go through one experiments._forked_map, which streams their
+    texts back in order, so each process holds about one block while the
+    texts are written.
     """
     def block(start):
-        data = rows.fetch(start, min(start + _BLOCK_ROWS, rows.n))
+        data = rows.fetch(start, min(start + _CHUNK, rows.n))
         texts = {key: cells(col) for key, col in {id(col): col for col in data}.items()}
         return text(start, zip(*(texts[id(col)] for col in data)))
 
-    return _forked_map(block, range(0, rows.n, _BLOCK_ROWS))
+    return _forked_map(block, range(0, rows.n, _CHUNK))
 
 
 def _json_chunks(columns, rows, config, info):
     """json.dumps(body, sort_keys=True, indent=2, default=_fmt) + "\n", streamed by rows.
 
     body = {"meta": meta, "rows": rows}; meta is encoded whole and
-    indented one level, then the rows follow in blocks of _BLOCK_ROWS.
+    indented one level, then the rows follow in _body's blocks.
     """
     meta = {"tool": "dephasim %s" % __version__, "config": config, "info": info,
             "columns": list(columns)}
@@ -402,22 +399,20 @@ def _study(vals):
 
 
 def _run_timeseries(vals):
-    """time_series's table, as _Rows that evaluate each block's slice of the grid.
+    """time_series's table, as _Rows that run it on the dephasing_grid of a block's times.
 
     Every step of time_series acts on each time alone, so a block's rows
-    have the bits the whole grid gives them.  The grid is resolved, and
-    checked as dephasing_grid checks it, here, before any output is
-    opened: t increases strictly, so its largest bath inputs are at t[-1].
+    have the bits the whole grid gives them.  The times, strictly
+    increasing, are resolved before any output is opened, and the bath is
+    evaluated at t[-1], its largest input, to fail as the whole grid would.
     """
     cfg, ens, bath, tau_max, steps = _study(vals)
     meta = {"warnings": []}
-    t = _grid_times(_resolve_times(cfg, bath, vals["t_max"], steps, tau_max, meta))
+    t = _resolve_times(cfg, bath, vals["t_max"], steps, tau_max, meta)
     dephasing_grid(t[-1:], bath)
 
     def fetch(start, stop):
-        b = t[start:stop]
-        grid = DephasingGrid(b, phase_S(b, bath), decay_Gamma(b, bath))
-        ts = time_series(cfg, ens, bath, grid=grid)
+        ts = time_series(cfg, ens, bath, grid=dephasing_grid(t[start:stop], bath))
         return ts.t, ts.tau, ts.concurrence, ts.abs_p_n, ts.S, ts.gamma_l, ts.gamma_c
 
     return TimeSeries.columns, _Rows(t.size, fetch), _info_from(meta)

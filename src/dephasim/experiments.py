@@ -164,10 +164,14 @@ def _meta(experiment, cfg, bath, swept=(), **extra):
 
 
 def _resolve_times(cfg, bath, t_max, steps, tau_max, meta):
-    """The times of cfg's window; resolution warnings go to meta["warnings"]."""
+    """The times of cfg's window, strictly increasing from 0; warnings go to meta["warnings"].
+
+    A linspace to t_max > 0 fails to increase only where its step underflows.
+    """
     ke2 = cfg.effective_kappa_c**2
     if t_max is None:
-        window = TAU_WINDOW if tau_max is None else _real(tau_max, "tau_max")
+        window = TAU_WINDOW if tau_max is None else _real(
+            tau_max, "tau_max", math.ulp(0.0), what="positive and finite")
         if ke2 * bath.nu_c == 0:  # kappa_eff^2 nu_c can underflow
             raise ValidationError("t_max is required when the collective coupling is zero")
         t_max = window / (ke2 * bath.nu_c)
@@ -194,6 +198,8 @@ def _resolve_times(cfg, bath, t_max, steps, tau_max, meta):
     except ValueError:
         # numpy refuses a size it cannot address before allocating anything
         raise ValidationError("steps = %d is too large for an array" % steps) from None
+    if np.any(np.diff(t) <= 0):
+        raise ValidationError("t_max = %r is too small for %d distinct times" % (t_max, steps))
     if ke2 > 0:
         width = 1.0 / (ke2 * math.sqrt(cfg.N))
         if t[1] - t[0] > width / 10.0:
@@ -202,11 +208,6 @@ def _resolve_times(cfg, bath, t_max, steps, tau_max, meta):
                 % (t[1] - t[0], width)
             )
     return t
-
-
-def _resolve_grid(cfg, bath, t_max, steps, tau_max, meta):
-    """The DephasingGrid of cfg's window; resolution warnings go to meta["warnings"]."""
-    return dephasing_grid(_resolve_times(cfg, bath, t_max, steps, tau_max, meta), bath)
 
 
 def time_series(cfg, ens, bath=None, t_max=None, steps=None, tau_max=None, grid=None):
@@ -227,7 +228,7 @@ def time_series(cfg, ens, bath=None, t_max=None, steps=None, tau_max=None, grid=
     bath = bath if bath is not None else BathConfig()
     meta = _meta("timeseries", cfg, bath)
     if grid is None:
-        grid = _resolve_grid(cfg, bath, t_max, steps, tau_max, meta)
+        grid = dephasing_grid(_resolve_times(cfg, bath, t_max, steps, tau_max, meta), bath)
     rho0 = initial_two_qubit(ens.spin1, ens.spin2)
     P = _background_from_S(grid.S, cfg, ens)
     C = np.empty(grid.t.size)
@@ -385,7 +386,8 @@ def _sweep(experiment, axes, cfg, ens, bath, tau_max, steps):
         raise ValidationError("%s has no points to sweep" % experiment)
     grid = None
     if fields == ["N"] and cfg.eta == 0:
-        grid = _resolve_grid(replace(cfg, N=max(keys)[0]), bath, None, steps, tau_max, meta)
+        times = _resolve_times(replace(cfg, N=max(keys)[0]), bath, None, steps, tau_max, meta)
+        grid = dephasing_grid(times, bath)
 
     def statistics(key):
         """The key's row, and its series' grid warnings."""
@@ -506,7 +508,7 @@ def grid_pv(
         if cfg is None:
             raise ValidationError("dynamic-corner mode requires a CouplingConfig")
         meta = _meta("grid-pv", cfg, bath, mode=mode, background_p=ens_background)
-        grid = _resolve_grid(cfg, bath, None, steps, tau_max, meta)
+        grid = dephasing_grid(_resolve_times(cfg, bath, None, steps, tau_max, meta), bath)
         probe = SpinInit(p=0.5, v=0.0)
         ens0 = EnsembleConfig(spin1=probe, spin2=probe, background_p=ens_background)
         F = _evolution_entries(grid.t, grid.S, grid.Gamma, cfg, ens0, "interaction")
@@ -585,8 +587,8 @@ def fit_exponential(n, y, n_range=None):
 
     Points whose n or y is not finite, or whose y <= 0, are excluded and
     counted in n_excluded; points outside n_range are dropped uncounted.
-    A NaN bound of n_range is a ValidationError, and fewer than 3 usable
-    points a FitError.
+    A NaN bound of n_range, or a lower bound above the upper, is a
+    ValidationError, and fewer than 3 usable points a FitError.
     """
     n = np.asarray(n, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -597,6 +599,9 @@ def fit_exponential(n, y, n_range=None):
         lo, hi = n_range
         if math.isnan(lo) or math.isnan(hi):
             raise ValidationError("fit_exponential's n_range must not hold NaN, got %r"
+                                  % (n_range,))
+        if lo > hi:
+            raise ValidationError("fit_exponential's n_range must not be reversed, got %r"
                                   % (n_range,))
         in_range = ((n >= lo) & (n <= hi)) | np.isnan(n)  # a nan n is not outside it
     usable = in_range & np.isfinite(n) & np.isfinite(y) & (y > 0)

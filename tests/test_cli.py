@@ -1,5 +1,8 @@
 """End-to-end tests of the command line interface."""
 
+import contextlib
+import functools
+import io
 import json
 import math
 import os
@@ -332,6 +335,15 @@ class TestExitCodes:
         assert err == "dephasim: error: fit_exponential's n_range must not hold NaN, got %r\n" % (
             (math.nan, math.inf) if flag == "--n-min" else (-math.inf, math.nan),)
 
+    def test_fit_reversed_range_is_validation(self, tmp_path, capsys):
+        table = tmp_path / "t.csv"
+        table.write_text("n,c_max\n2,0.5\n4,0.25\n6,0.125\n8,0.0625\n")
+        code, out, err = _run(capsys, ["fit", "--input", str(table), "--n-min", "6",
+                                       "--n-max", "4"])
+        assert code == 2 and not out
+        assert err == ("dephasim: error: fit_exponential's n_range must not be reversed, "
+                       "got (6.0, 4.0)\n")
+
     def test_fit_too_few_points_is_numerical(self, tmp_path, capsys):
         table = tmp_path / "t.csv"
         table.write_text("n,c_max\n2,0\n4,0\n6,0\n")
@@ -441,7 +453,7 @@ class TestCsvOutput:
 class TestBlockWriter:
     def test_blocks_match_fmt(self, monkeypatch, capsys):
         # 7 rows in blocks of 3: two full blocks and a short one
-        monkeypatch.setattr(cli, "_BLOCK_ROWS", 3)
+        monkeypatch.setattr(cli, "_CHUNK", 3)
         floats = np.array([-0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16, 1e17])
         data = [
             floats,
@@ -482,20 +494,7 @@ class TestForkedBodies:
     FORKS = {1: 0, 2: 1, 3: 2}
 
     @staticmethod
-    def _cpus(monkeypatch, n):
-        """Make n CPUs available, and return the list that records each os.fork."""
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
-        forks, fork = [], os.fork
-        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
-        return forks
-
-    @staticmethod
-    def _all_reaped():
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
-    @staticmethod
-    def _whole_grid(argv, capsys):
+    def _whole_grid(argv):
         """main's exit code, stdout body and stderr, with time_series run on the whole grid."""
         sub, vals = parse_args(argv)
         try:
@@ -506,50 +505,61 @@ class TestForkedBodies:
         except dephasim.NumericalError as exc:
             return 4, "", "dephasim: numerical failure: %s\n" % exc
         data = [ts.t, ts.tau, ts.concurrence, ts.abs_p_n, ts.S, ts.gamma_l, ts.gamma_c]
-        cli.emit(ts.columns, data, dict(vals, subcommand=sub), cli._info_from(ts.meta),
-                 vals["format"], "-")
-        return 0, capsys.readouterr().out, ""
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            cli.emit(ts.columns, data, dict(vals, subcommand=sub), cli._info_from(ts.meta),
+                     vals["format"], "-")
+        return 0, out.getvalue(), ""
+
+    @pytest.fixture(scope="class")
+    def whole_grid_body(self):
+        """_whole_grid's stdout body of an argv tuple, made once for all its CPU counts.
+
+        The cases run format by format, so the last two bodies are kept.
+        """
+        return functools.lru_cache(maxsize=2)(lambda argv: self._whole_grid(list(argv))[1])
 
     # 30000 rows are 4 blocks of at most 8192 rows, 100000 rows 13
     @pytest.mark.parametrize("steps", [30000, 100000])
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_bytes_match_whole_grid(self, monkeypatch, tmp_path, capsys, fmt, cpus, steps):
+    def test_bytes_match_whole_grid(self, forking, whole_grid_body, tmp_path, capsys, fmt, cpus,
+                                    steps):
         argv = self.ARGV + ["--steps", str(steps), "--format", fmt]
-        self._cpus(monkeypatch, 1)
-        want = self._whole_grid(argv + ["--output", "-"], capsys)[1]
-        forks = self._cpus(monkeypatch, cpus)
+        forking.cpus(1)
+        want = whole_grid_body(tuple(argv + ["--output", "-"]))
+        forks = forking.cpus(cpus)
         code, out, err = _run(capsys, argv + ["--output", "-"])
         assert (code, err) == (0, "")
         assert out == want
         assert len(forks) == self.FORKS[cpus]
-        self._all_reaped()
+        forking.all_reaped()
         path = tmp_path / ("out." + fmt)
         assert main(argv + ["--output", str(path)]) == 0
         assert len(forks) == 2 * self.FORKS[cpus]
         echo = ("# config: output = %s\n" if fmt == "csv" else '"output": "%s"')
         assert path.read_text(encoding="utf-8") == want.replace(echo % "-", echo % path, 1)
-        self._all_reaped()
+        forking.all_reaped()
 
     @pytest.mark.parametrize("steps, forks", [(8192, 0), (8193, 1)])
-    def test_one_block_never_forks(self, monkeypatch, capsys, steps, forks):
-        recorded = self._cpus(monkeypatch, 3)
+    def test_one_block_never_forks(self, forking, capsys, steps, forks):
+        recorded = forking.cpus(3)
         code, out, _ = _run(capsys, ["timeseries", "--steps", str(steps)])
         assert code == 0 and len(_data_lines(out)) == steps + 1
         assert len(recorded) == forks
-        self._all_reaped()
+        forking.all_reaped()
 
     @pytest.mark.parametrize("cpus", [2, 3])
-    def test_output_error_reaps_children(self, monkeypatch, capsys, cpus):
-        forks = self._cpus(monkeypatch, cpus)
+    def test_output_error_reaps_children(self, forking, capsys, cpus):
+        forks = forking.cpus(cpus)
         code, out, err = _run(capsys, ["timeseries", "--steps", "30000", "--output", "/dev/full"])
         assert (code, out) == (3, "")
         assert err.startswith("dephasim: I/O error: ")
         assert len(forks) == self.FORKS[cpus]
-        self._all_reaped()
+        forking.all_reaped()
 
-    def test_short_tables_never_fork(self, monkeypatch, capsys):
-        forks = self._cpus(monkeypatch, 3)
+    def test_short_tables_never_fork(self, forking, capsys):
+        forks = forking.cpus(3)
         code, _, _ = _run(capsys, ["grid-pv", "--mode", "symmetric-pv"])  # 2601 rows
         assert code == 0 and not forks
 
@@ -564,11 +574,11 @@ class TestForkedBodies:
         ids=["cutoff-times-t", "phase", "not-increasing", "tail-estimate"],
     )
     @pytest.mark.parametrize("cpus", [1, 2])
-    def test_rejected_before_output(self, monkeypatch, tmp_path, capsys, argv, code, cpus):
+    def test_rejected_before_output(self, forking, tmp_path, capsys, argv, code, cpus):
         # each fails in some blocks of the grid only, or names the grid's last time
-        want = self._whole_grid(["timeseries"] + argv, capsys)
+        want = self._whole_grid(["timeseries"] + argv)
         assert want[0] == code
-        forks = self._cpus(monkeypatch, cpus)
+        forks = forking.cpus(cpus)
         path = tmp_path / "out.csv"
         assert _run(capsys, ["timeseries"] + argv + ["--output", str(path)]) == want
         assert not path.exists() and not forks
@@ -634,7 +644,7 @@ class TestJsonOutput:
     @pytest.mark.parametrize("n_rows", [0, 2, 3, 4])
     def test_stream_matches_dumps(self, monkeypatch, capsys, n_rows):
         # blocks of 3 rows: empty, short of one block, one block, one row more
-        monkeypatch.setattr(cli, "_BLOCK_ROWS", 3)
+        monkeypatch.setattr(cli, "_CHUNK", 3)
         floats = np.array([-0.0, math.nan, math.inf, -math.inf, 5e-324, 1.0 / 3.0])
         data = [
             floats[:n_rows],

@@ -148,11 +148,22 @@ class TestTimeSeries:
         ({"t_max": 0}, "t_max"),
         ({"tau_max": "x"}, "tau_max"),
         ({"tau_max": 10**400}, "tau_max"),
+        ({"tau_max": 0}, "tau_max"),
+        ({"tau_max": -1.0}, "tau_max"),
     ])
     def test_malformed_window_rejected(self, bath, std_ens, kwargs, field):
         cfg = CouplingConfig(kappa_c=0.1, N=4)
         with pytest.raises(ValidationError, match="^%s must be" % field):
             time_series(cfg, std_ens, bath, **kwargs)
+
+    def test_underflowing_step_rejected(self, bath, std_ens):
+        # a step below the smallest float repeats times, so t_max is too small for steps
+        cfg = CouplingConfig(kappa_c=0.1, N=4)
+        with pytest.raises(ValidationError,
+                           match=r"^t_max = 1e-320 is too small for 20000 distinct times$"):
+            time_series(cfg, std_ens, bath, t_max=1e-320, steps=20000)
+        assert time_series(cfg, std_ens, bath, t_max=1e-320, steps=3).t.tolist() == [
+            0.0, 5e-321, 1e-320]
 
     def test_integral_float_steps_accepted(self, bath, std_ens):
         cfg = CouplingConfig(kappa_c=0.1, N=4)
@@ -295,6 +306,19 @@ class TestFit:
         n = np.arange(1.0, 11.0)
         with pytest.raises(ValidationError, match="n_range must not hold NaN"):
             fit_exponential(n, np.exp(-0.1 * n), n_range)
+
+    @pytest.mark.parametrize("n_range", [(10.0, 5.0), (math.inf, -math.inf)])
+    def test_reversed_range_rejected(self, n_range):
+        # every point would fall outside the range, a FitError of the input's making
+        n = np.arange(1.0, 11.0)
+        with pytest.raises(ValidationError, match="n_range must not be reversed"):
+            fit_exponential(n, np.exp(-0.1 * n), n_range)
+
+    def test_one_point_range_accepted(self):
+        # lo == hi is a range: it holds one point, too few to fit
+        n = np.arange(1.0, 11.0)
+        with pytest.raises(FitError, match="got 1$"):
+            fit_exponential(n, np.exp(-0.1 * n), (5.0, 5.0))
 
     def test_equal_n_rejected(self):
         with pytest.raises(FitError, match="distinct n"):
@@ -496,46 +520,33 @@ class TestForkedSweeps:
         "both-shares": lambda cfg, ens: sweep_eta([0.0, 400.0], [4, 1000], cfg, ens, steps=50),
     }
 
-    @staticmethod
-    def _cpus(monkeypatch, n):
-        """Make n CPUs available, and return the list that records each os.fork."""
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
-        forks, fork = [], os.fork
-        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
-        return forks
-
-    @staticmethod
-    def _all_reaped():
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
     @pytest.mark.parametrize("sweep", SWEEPS.values(), ids=SWEEPS.keys())
-    def test_rows_and_meta_match_serial(self, monkeypatch, std_ens, sweep):
+    def test_rows_and_meta_match_serial(self, forking, std_ens, sweep):
         cfg = CouplingConfig(kappa_c=0.2, N=2)
-        forks = self._cpus(monkeypatch, 1)
+        forks = forking.cpus(1)
         serial = sweep(cfg, std_ens)
         assert not forks
-        forks = self._cpus(monkeypatch, 3)
+        forks = forking.cpus(3)
         split = sweep(cfg, std_ens)
         assert len(forks) == 2
         assert repr(split.rows) == repr(serial.rows)
         assert split.meta == serial.meta
-        self._all_reaped()
+        forking.all_reaped()
 
     @pytest.mark.parametrize("cpus", [2, 3])
     @pytest.mark.parametrize("sweep", FAILING.values(), ids=FAILING.keys())
-    def test_earliest_failure_raised(self, monkeypatch, std_ens, sweep, cpus):
+    def test_earliest_failure_raised(self, forking, std_ens, sweep, cpus):
         cfg = CouplingConfig(kappa_c=0.1, N=2)
-        self._cpus(monkeypatch, 1)
+        forking.cpus(1)
         with pytest.raises(ValidationError) as serial:
             sweep(cfg, std_ens)
-        forks = self._cpus(monkeypatch, cpus)
+        forks = forking.cpus(cpus)
         with pytest.raises(ValidationError) as split:
             sweep(cfg, std_ens)
         assert forks
         assert type(split.value) is type(serial.value)
         assert str(split.value) == str(serial.value)
-        self._all_reaped()
+        forking.all_reaped()
 
     def test_failures_differ_by_point(self, std_ens):
         # so the test above tells the earliest failure from a later one
@@ -545,8 +556,8 @@ class TestForkedSweeps:
         with pytest.raises(ValidationError, match=r"N\^eta must be finite"):
             sweep_eta([400.0], [1000], cfg, std_ens, steps=50)
 
-    def test_worker_without_results_is_an_error(self, monkeypatch):
-        self._cpus(monkeypatch, 2)
+    def test_worker_without_results_is_an_error(self, forking):
+        forking.cpus(2)
         parent = os.getpid()
 
         def fn(x):
@@ -556,10 +567,10 @@ class TestForkedSweeps:
 
         with pytest.raises(RuntimeError, match="ended without its results"):
             list(experiments._forked_map(fn, [1, 2, 3]))
-        self._all_reaped()
+        forking.all_reaped()
 
-    def test_parent_failure_kills_workers(self, monkeypatch):
-        self._cpus(monkeypatch, 3)
+    def test_parent_failure_kills_workers(self, forking):
+        forking.cpus(3)
         parent = os.getpid()
 
         def fn(x):
@@ -571,11 +582,11 @@ class TestForkedSweeps:
         with pytest.raises(_Stop):
             list(experiments._forked_map(fn, [1, 2, 3]))
         assert time.monotonic() - start < 30
-        self._all_reaped()
+        forking.all_reaped()
 
-    def test_results_stream_before_failure(self, monkeypatch):
+    def test_results_stream_before_failure(self, forking):
         # item 3 fails in the child, which runs items 1, 3 and 5
-        forks = self._cpus(monkeypatch, 2)
+        forks = forking.cpus(2)
 
         def fn(x):
             if x == 3:
@@ -588,20 +599,20 @@ class TestForkedSweeps:
                 results.append(y)
         assert results == [0, 1, 4]
         assert len(forks) == 1
-        self._all_reaped()
+        forking.all_reaped()
 
-    def test_closed_stream_reaps_workers(self, monkeypatch):
-        forks = self._cpus(monkeypatch, 3)
+    def test_closed_stream_reaps_workers(self, forking):
+        forks = forking.cpus(3)
         stream = experiments._forked_map(lambda x: x, range(9))
         assert next(stream) == 0
         assert len(forks) == 2
         stream.close()
-        self._all_reaped()
+        forking.all_reaped()
 
-    def test_live_thread_runs_serially(self, monkeypatch, std_ens):
+    def test_live_thread_runs_serially(self, forking, std_ens):
         cfg = CouplingConfig(kappa_c=0.2, N=2)
         sweep = self.SWEEPS["sweep_eta-odd"]
-        forks = self._cpus(monkeypatch, 3)
+        forks = forking.cpus(3)
         stop = threading.Event()
         thread = threading.Thread(target=stop.wait)
         thread.start()
@@ -614,10 +625,10 @@ class TestForkedSweeps:
         assert repr(res.rows) == repr(sweep(cfg, std_ens).rows)
         assert len(forks) == 2
 
-    def test_without_fork_runs_serially(self, monkeypatch, std_ens):
+    def test_without_fork_runs_serially(self, monkeypatch, forking, std_ens):
         cfg = CouplingConfig(kappa_c=0.2, N=2)
         sweep = self.SWEEPS["sweep_kappa-warns"]
-        self._cpus(monkeypatch, 3)
+        forking.cpus(3)
         split = sweep(cfg, std_ens)
         monkeypatch.delattr(os, "fork")
         assert repr(sweep(cfg, std_ens).rows) == repr(split.rows)

@@ -1,6 +1,6 @@
 """Write the reference CLI outputs of this checkout, one file each.
 
-    python3 tools/cli_bodies.py OUTDIR
+    python3 tools/cli_bodies.py [--manifest] OUTDIR
 
 Runs `dephasim` with the package imported from this checkout's src/,
 in OUTDIR, and writes there:
@@ -14,24 +14,35 @@ in OUTDIR, and writes there:
   to a file and to stdout.  A body command that exits non-zero or writes
   to stderr stops the script;
 - the --help text of `dephasim` and of each subcommand, at COLUMNS=80;
-- the exit code and stderr of ten invalid invocations: a bad value for
-  each kind of option that can reject one, fit without --input, an
-  unknown key in a --config file, and a long body written to /dev/full
-  (exit 3).  An invocation that exits 0 or writes to stdout stops the
-  script.
+- the exit code and stderr of twelve invalid invocations: a bad value
+  for each kind of option that can reject one, fit without --input, an
+  unknown key in a --config file, a long body written to /dev/full
+  (exit 3), a zero tau_max and a reversed fit range.  An invocation
+  that exits 0 or writes to stdout stops the script.
 
 To compare two checkouts:
 
     python3 A/tools/cli_bodies.py /tmp/a && python3 B/tools/cli_bodies.py /tmp/b
     diff -r /tmp/a /tmp/b
+
+With --manifest it also writes tools/cli_bodies.json: the SHA-256 of
+every file in OUTDIR, which should start empty, and the fingerprint of
+the host they were made on (Python and numpy versions, machine, and
+numpy's enabled CPU features, since numpy's SIMD level moves some
+bits).  tests/test_bodies.py compares a fresh run with it.
 """
 
+import hashlib
+import json
 import os
 import pathlib
+import platform
 import subprocess
 import sys
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+MANIFEST = ROOT / "tools" / "cli_bodies.json"
 
 # output file name, then the command's arguments
 BODIES = (
@@ -86,12 +97,38 @@ ERRORS = (
     ("error-fit-input.txt", ["fit"]),
     ("error-config-key.txt", ["timeseries", "--config", CONFIG[0]]),
     ("error-io.txt", ["timeseries", "--steps", "30000", "--output", "/dev/full"]),
+    ("error-tau-max.txt", ["timeseries", "--tau-max", "0"]),
+    ("error-fit-range.txt", ["fit", "--input", "sweep-n.csv", "--n-min", "10", "--n-max", "5"]),
 )
 
 
+def fingerprint():
+    """What the outputs' bits depend on besides the checkout."""
+    import numpy
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_features__
+
+    return {
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "machine": platform.machine(),
+        "cpu_features": " ".join(sorted(name for name, on in __cpu_features__.items() if on)),
+    }
+
+
+def digests(out):
+    """The SHA-256 of each file in the directory out, by name."""
+    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(out.iterdir())}
+
+
 def main(argv):
+    manifest = "--manifest" in argv
+    argv = [arg for arg in argv if arg != "--manifest"]
     if len(argv) != 1:
-        sys.exit("usage: python3 tools/cli_bodies.py OUTDIR")
+        sys.exit("usage: python3 tools/cli_bodies.py [--manifest] OUTDIR")
     out = pathlib.Path(argv[0])
     out.mkdir(parents=True, exist_ok=True)
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
@@ -127,6 +164,10 @@ def main(argv):
             stop(args, done)
         (out / name).write_text("exit %d\n%s" % (done.returncode, done.stderr))
         print(name)
+    if manifest:
+        pinned = {"fingerprint": fingerprint(), "sha256": digests(out)}
+        MANIFEST.write_text(json.dumps(pinned, indent=2, sort_keys=True) + "\n")
+        print(MANIFEST)
 
 
 if __name__ == "__main__":
