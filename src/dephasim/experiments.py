@@ -587,8 +587,9 @@ def fit_exponential(n, y, n_range=None):
 
     Points whose n or y is not finite, or whose y <= 0, are excluded and
     counted in n_excluded; points outside n_range are dropped uncounted.
-    A NaN bound of n_range, or a lower bound above the upper, is a
-    ValidationError, and fewer than 3 usable points a FitError.
+    A NaN bound of n_range, a lower bound above the upper, or a range no
+    finite n can meet (lo = +inf or hi = -inf) is a ValidationError, and
+    fewer than 3 usable points a FitError.
     """
     n = np.asarray(n, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -602,6 +603,9 @@ def fit_exponential(n, y, n_range=None):
                                   % (n_range,))
         if lo > hi:
             raise ValidationError("fit_exponential's n_range must not be reversed, got %r"
+                                  % (n_range,))
+        if lo == math.inf or hi == -math.inf:
+            raise ValidationError("fit_exponential's n_range admits no finite n, got %r"
                                   % (n_range,))
         in_range = ((n >= lo) & (n <= hi)) | np.isnan(n)  # a nan n is not outside it
     usable = in_range & np.isfinite(n) & np.isfinite(y) & (y > 0)

@@ -344,6 +344,16 @@ class TestExitCodes:
         assert err == ("dephasim: error: fit_exponential's n_range must not be reversed, "
                        "got (6.0, 4.0)\n")
 
+    @pytest.mark.parametrize("flag", ["--n-min=inf", "--n-max=-inf"])
+    def test_fit_range_without_finite_n_is_validation(self, tmp_path, capsys, flag):
+        # --n-max=-inf: argparse reads a bare -inf as a flag
+        table = tmp_path / "t.csv"
+        table.write_text("n,c_max\n2,0.5\n4,0.25\n6,0.125\n")
+        code, out, err = _run(capsys, ["fit", "--input", str(table), flag])
+        assert code == 2 and not out
+        assert err == "dephasim: error: fit_exponential's n_range admits no finite n, got %r\n" % (
+            (math.inf, math.inf) if flag == "--n-min=inf" else (-math.inf, -math.inf),)
+
     def test_fit_too_few_points_is_numerical(self, tmp_path, capsys):
         table = tmp_path / "t.csv"
         table.write_text("n,c_max\n2,0\n4,0\n6,0\n")

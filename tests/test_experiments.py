@@ -314,6 +314,14 @@ class TestFit:
         with pytest.raises(ValidationError, match="n_range must not be reversed"):
             fit_exponential(n, np.exp(-0.1 * n), n_range)
 
+    @pytest.mark.parametrize("n_range", [(math.inf, math.inf), (-math.inf, -math.inf),
+                                         (np.float64("inf"), math.inf)])
+    def test_range_without_finite_n_rejected(self, n_range):
+        # no finite n lies in it, so every point would fall outside the range
+        n = np.arange(1.0, 11.0)
+        with pytest.raises(ValidationError, match="n_range admits no finite n"):
+            fit_exponential(n, np.exp(-0.1 * n), n_range)
+
     def test_one_point_range_accepted(self):
         # lo == hi is a range: it holds one point, too few to fit
         n = np.arange(1.0, 11.0)

@@ -5,20 +5,22 @@
 Runs `dephasim` with the package imported from this checkout's src/,
 in OUTDIR, and writes there:
 
-- twenty-three bodies that cover every subcommand.  Each command but
+- twenty-five bodies that cover every subcommand.  Each command but
   the last writes its body with a relative --output, so the path
   recorded in the body's configuration header is the same from any
   checkout; the two fit commands read sweep bodies written before them.
   The last writes to stdout (--output -), which the script saves.  The
   long time series run through several blocks of rows, in CSV and JSON,
-  to a file and to stdout.  A body command that exits non-zero or writes
-  to stderr stops the script;
+  to a file and to stdout, and two short ones put times of 1e18 and
+  1e-300 through every shape that %.17g gives a number.  A body
+  command that exits non-zero or writes to stderr stops the script;
 - the --help text of `dephasim` and of each subcommand, at COLUMNS=80;
-- the exit code and stderr of twelve invalid invocations: a bad value
+- the exit code and stderr of thirteen invalid invocations: a bad value
   for each kind of option that can reject one, fit without --input, an
   unknown key in a --config file, a long body written to /dev/full
-  (exit 3), a zero tau_max and a reversed fit range.  An invocation
-  that exits 0 or writes to stdout stops the script.
+  (exit 3), a zero tau_max, a reversed fit range and a fit range no
+  finite n can meet.  An invocation that exits 0 or writes to stdout
+  stops the script.
 
 To compare two checkouts:
 
@@ -51,6 +53,8 @@ BODIES = (
     ("timeseries.json", ["timeseries", "--n", "4", "--format", "json"]),
     ("timeseries-100000.csv", ["timeseries", "--n", "4", "--kappa-c", "0.05", "--steps", "100000"]),
     ("timeseries-20000.json", ["timeseries", "--steps", "20000", "--format", "json"]),
+    ("timeseries-huge-t.csv", ["timeseries", "--n", "4", "--t-max", "1e18", "--steps", "40"]),
+    ("timeseries-tiny-t.csv", ["timeseries", "--n", "4", "--t-max", "1e-300", "--steps", "40"]),
     ("timeseries-negative-v.csv", ["timeseries", "--n", "6", "--p", "0.3", "--v", "-0.3",
                                    "--background-p", "0.2", "--kappa-l", "0.2"]),
     ("sweep-n.csv", ["sweep-n"]),
@@ -99,6 +103,7 @@ ERRORS = (
     ("error-io.txt", ["timeseries", "--steps", "30000", "--output", "/dev/full"]),
     ("error-tau-max.txt", ["timeseries", "--tau-max", "0"]),
     ("error-fit-range.txt", ["fit", "--input", "sweep-n.csv", "--n-min", "10", "--n-max", "5"]),
+    ("error-fit-inf.txt", ["fit", "--input", "sweep-n.csv", "--n-min", "inf"]),
 )
 
 
