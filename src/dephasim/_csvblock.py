@@ -107,12 +107,14 @@ def _tables():
 def _perm(stride):
     """The source bytes of each class's text and separator, padded with _NUL: a row each."""
     texts = [_cell(form, nd) for form in range(_FORMS) for nd in range(1, 18)]
-    texts += [[_MINUS] + text for text in texts]
     texts += [[_ZERO], [_MINUS, _ZERO], list(range(_TEXT)) + list(range(32, stride))]
     width = stride - 7
     flat = array.array("q", itertools.chain.from_iterable(
         text + [_COMMA] + [_NUL] * (width - 1 - len(text)) for text in texts))
     perm = np.frombuffer(flat, np.int64).reshape(-1, width)
+    minus = np.full((_MINUSES, 1), _MINUS)  # a negative cell: the minus, then its positive text
+    perm = np.concatenate([perm[:_MINUSES], np.hstack([minus, perm[:_MINUSES, :-1]]),
+                           perm[_MINUSES:]])
     return np.concatenate([perm, np.where(perm == _COMMA, _NEWLINE, perm)])
 
 
