@@ -228,12 +228,14 @@ def block(columns, fmt):
     source = ((perm // 4) * planes[0].nbytes + perm % 4).astype(dtype)  # in planes' bytes
     order = cls.reshape(t, n)[where].T.copy()
     order[:, -1] += _CLASSES
-    first = 4 * (np.array(where, dtype) * n + np.arange(n, dtype=dtype)[:, None])
-    flat = planes.view(np.uint8).ravel()
     step = max(1, _INDEX // (len(columns) * perm.shape[1]))
+    # the byte of each cell of the first step rows in plane 0; row r + i reads from 4 r on
+    first = 4 * (np.array(where, dtype) * n + np.arange(min(n, step), dtype=dtype)[:, None])
+    first = np.repeat(first[:, :, None], perm.shape[1], axis=2)
+    flat = planes.view(np.uint8).ravel()
     parts = []
     for r in range(0, n, step):
         index = np.take(source, order[r:r + step], axis=0)
-        index += first[r:r + step, :, None]
-        parts.append(np.take(flat, index).tobytes().translate(None, b"\0"))
+        index += first[:len(index)]
+        parts.append(np.take(flat[4 * r:], index).tobytes().translate(None, b"\0"))
     return b"".join(parts)
