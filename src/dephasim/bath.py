@@ -88,6 +88,12 @@ __all__ = [
 # switch S to its Maclaurin branch below this x = k_c*t; the direct form
 # cancels like x^5 so it loses ~60*eps/x^5 relative accuracy at small x
 _SERIES_X = 0.5
+# Maclaurin coefficients of S's bracket over x^3, (-1)^k / ((2k+2)!! (2k+5)!!)
+# in powers 1, x^2, ..., x^10; truncation < 1e-15 relative at x = 0.5
+_BRACKET_SERIES = tuple(
+    (-1) ** k / (math.prod(range(2 * k + 2, 0, -2)) * math.prod(range(2 * k + 5, 0, -2)))
+    for k in range(6)
+)
 # switch Gamma's linear part to its Maclaurin branch below this x = k_c*t;
 # the direct form loses ~1e-15 relative at x = 1 and ~2e-16 from x = 2
 _LINEAR_SERIES_X = 2.0
@@ -162,31 +168,29 @@ class DephasingGrid:
         return self.t.size
 
 
+def _maclaurin(x, switch, series, direct, odd=False):
+    """direct(x), or below switch x^2 sum_k series[k] x^(2k), times x if odd.
+
+    Each branch is evaluated on its own points of the array x only.
+    """
+    out = np.empty(x.shape)
+    small = x < switch
+    xs = x[small]
+    x2 = xs * xs
+    acc = np.full_like(x2, series[-1])
+    for c in series[-2::-1]:
+        acc = acc * x2 + c
+    out[small] = acc * (x2 * xs if odd else x2)
+    # direct's x * x overflows above x ~ 1.3e154, where the quotient's limit 0 is exact
+    with np.errstate(over="ignore"):
+        out[~small] = direct(x[~small])
+    return out
+
+
 def _bracket(x):
     """x/3 - (sin x - x cos x)/x^2 with a series branch at small x."""
-    x = np.asarray(x, dtype=float)
-    small = x < _SERIES_X
-    xs = np.where(small, x, 1.0)
-    # coefficients 1/((2k)!! (2k+3)!!); truncation < 1e-15 relative at x = 0.5
-    x2 = xs * xs
-    series = (xs * x2) * (
-        1.0 / 30.0
-        + x2 * (
-            -1.0 / 840.0
-            + x2 * (
-                1.0 / 45360.0
-                + x2 * (
-                    -1.0 / 3991680.0
-                    + x2 * (1.0 / 518918400.0 - x2 / 93405312000.0)
-                )
-            )
-        )
-    )
-    xb = np.where(small, 1.0, x)
-    # xb**2 overflows above x ~ 1.3e154, where the quotient's limit 0 is exact
-    with np.errstate(over="ignore"):
-        direct = xb / 3.0 - (np.sin(xb) - xb * np.cos(xb)) / xb**2
-    return np.where(small, series, direct)
+    return _maclaurin(x, _SERIES_X, _BRACKET_SERIES,
+                      lambda x: x / 3.0 - (np.sin(x) - x * np.cos(x)) / x**2, odd=True)
 
 
 def _floats(x, message):
@@ -219,7 +223,7 @@ def phase_S(t, cfg=None):
     """
     cfg = cfg if cfg is not None else BathConfig()
     t = _times(t, cfg, "phase_S")
-    bracket = _bracket(cfg.k_c * t)
+    bracket = _bracket(np.asarray(cfg.k_c * t))
     scale = cfg.k_c**2 / 2.0
     # the largest bracket gives the largest |S|, so one float product decides
     if bracket.size and scale * float(bracket.max()) == math.inf:
@@ -269,18 +273,8 @@ _VANDER = _legendre_vander(_RULE[0], _TERMS)
 
 def _linear_part(x):
     """g(x) = 1/2 - (cos x + x sin x - 1)/x^2 with a series branch at small x."""
-    out = np.empty(x.shape)
-    small = x < _LINEAR_SERIES_X
-    x2 = x[small] ** 2
-    acc = np.full_like(x2, _LINEAR_SERIES[-1])
-    for c in _LINEAR_SERIES[-2::-1]:
-        acc = acc * x2 + c
-    out[small] = acc * x2
-    xb = x[~small]
-    # xb * xb overflows above x ~ 1.3e154, where the quotient's limit 0 is exact
-    with np.errstate(over="ignore"):
-        out[~small] = 0.5 - (np.cos(xb) + xb * np.sin(xb) - 1.0) / (xb * xb)
-    return out
+    return _maclaurin(x, _LINEAR_SERIES_X, _LINEAR_SERIES,
+                      lambda x: 0.5 - (np.cos(x) + x * np.sin(x) - 1.0) / (x * x))
 
 
 def _sin2_integral(f, L, t):

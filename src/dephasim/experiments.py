@@ -448,7 +448,7 @@ def _product_states(spins1, spins2):
 def _clip_v(p, v):
     bound = math.sqrt(max(p * (1.0 - p), 0.0))
     if abs(v) > bound + 1e-15:
-        return math.copysign(bound, v) if v else bound, True
+        return math.copysign(bound, v), True
     return v, False
 
 
@@ -625,7 +625,7 @@ def fit_exponential(n, y, n_range=None):
     ssr = float(np.sum(resid**2))
     sst = float(np.sum((ly - ybar) ** 2))
     r2 = 1.0 if sst == 0 else max(0.0, 1.0 - ssr / sst)
-    stderr = math.sqrt(ssr / (m - 2) / sxx) if m > 2 else 0.0
+    stderr = math.sqrt(ssr / (m - 2) / sxx)
     return FitResult(
         slope=slope,
         stderr=stderr,

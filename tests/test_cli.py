@@ -475,7 +475,7 @@ class TestBlockWriter:
             floats,
         ]
         columns = ("f", "g", "i", "b", "s", "tau_c", "f_again")
-        cli.emit(columns, data, {"subcommand": "test"}, {}, "csv", "-")
+        cli.emit(columns, cli._slices(data), {"subcommand": "test"}, {}, "csv", "-")
         body = _data_lines(capsys.readouterr().out)
         assert body[0] == ",".join(columns)
         assert body[1:] == [",".join(cli._fmt(x) for x in row) for row in zip(*data)]
@@ -517,8 +517,8 @@ class TestForkedBodies:
         data = [ts.t, ts.tau, ts.concurrence, ts.abs_p_n, ts.S, ts.gamma_l, ts.gamma_c]
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
-            cli.emit(ts.columns, data, dict(vals, subcommand=sub), cli._info_from(ts.meta),
-                     vals["format"], "-")
+            cli.emit(ts.columns, cli._slices(data), dict(vals, subcommand=sub),
+                     cli._info_from(ts.meta), vals["format"], "-")
         return 0, out.getvalue(), ""
 
     @pytest.fixture(scope="class")
@@ -668,7 +668,7 @@ class TestJsonOutput:
         columns = ("f", "i", "b", "s", "o", "r", "f_again")
         config = {"subcommand": "test", "steps": None, "values": [0.1, 2], "n": np.int64(3)}
         info = {"argmax": (0.5, 0.25), "c_max": 1.0 / 3.0, "warnings": "none"}
-        cli.emit(columns, data, config, info, "json", "-")
+        cli.emit(columns, cli._slices(data), config, info, "json", "-")
         meta = {"tool": "dephasim %s" % dephasim.__version__, "config": config, "info": info,
                 "columns": list(columns)}
         body = {"meta": meta, "rows": [list(r) for r in zip(*data)]}
