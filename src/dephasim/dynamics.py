@@ -182,6 +182,16 @@ class EnsembleConfig:
             )
         return ps
 
+    def _background_counts(self, N):
+        """(population, count) pairs of the N - 2 background spins; none at N = 2.
+
+        One population is counted as N - 2 spins without an array of them.
+        """
+        ps = self._populations()
+        if ps.size == 1:
+            return [(ps[0], N - 2)] if N > 2 else []
+        return list(zip(*np.unique(self.background_array(N), return_counts=True)))
+
     @property
     def homogeneous_background(self):
         ps = self._populations()
@@ -206,7 +216,7 @@ def _background_from_S(S, cfg, ens, doubled=False):
     cos_a, sin_a, cos_2a = np.cos(a), np.sin(a), np.cos(2.0 * a)
     log_mod = np.zeros(S.shape)
     arg = np.zeros(S.shape)
-    for p, n in zip(*np.unique(ens.background_array(cfg.N), return_counts=True)):
+    for p, n in ens._background_counts(cfg.N):
         mod2 = p * p + 2.0 * p * (1.0 - p) * cos_2a + (1.0 - p) ** 2
         with np.errstate(divide="ignore"):
             log_mod += n * (0.5 * np.log(mod2))
@@ -353,11 +363,11 @@ def limit_state_large_eta(t, s1, s2, cfg, ens, bath=None):
     bath = bath if bath is not None else BathConfig()
     if not ens.homogeneous_background:
         raise ValidationError("the large-eta limit requires a homogeneous background")
-    ps = ens.background_array(cfg.N)
+    counts = ens._background_counts(cfg.N)
     P_inf = 1.0
-    if ps.size:
+    if counts:
         P_inf = np.exp(
-            -1j * cfg.kappa_c**2 * phase_S(t, bath) * (1.0 - 2.0 * float(ps[0]))
+            -1j * cfg.kappa_c**2 * phase_S(t, bath) * (1.0 - 2.0 * float(counts[0][0]))
             * cfg.N ** (1.0 - 2.0 * cfg.eta)
         )
     return _limit_state(t, s1, s2, cfg, bath, P_inf)

@@ -28,4 +28,5 @@ def test_outputs_match_manifest(tmp_path):
     if here != pinned["fingerprint"]:
         pytest.skip("the manifest was made on %s, this host is %s" % (pinned["fingerprint"], here))
     tool.main([str(tmp_path)])
-    assert tool.digests(tmp_path) == pinned["sha256"]
+    changes = tool.moved(pinned["sha256"], tool.digests(tmp_path))
+    assert not changes, "outputs differ from the manifest:\n" + "\n".join(changes)

@@ -778,6 +778,22 @@ class TestSubcommands:
         assert len(data) == 5
 
 
+class TestHugeN:
+    """A homogeneous background of any size is counted, never laid out spin by spin."""
+
+    @pytest.mark.parametrize("argv", [
+        ["timeseries", "--n", "100000000000", "--steps", "10"],
+        ["timeseries", "--n", "1" + "0" * 30, "--steps", "10"],
+        ["limits", "--n-values", "100000000000"],
+        ["limits", "--eta", "0.4", "--n-values", "100,100000000000"],
+        ["sweep-n", "--n-min", "100000000000", "--n-max", "100000000000", "--steps", "10"],
+    ])
+    def test_exits_zero(self, capsys, argv):
+        code, out, err = _run(capsys, argv)
+        assert (code, err) == (0, "")
+        assert len(_data_lines(out)) > 1
+
+
 class TestChildProcess:
     def test_import_loads_no_scipy(self, tmp_path):
         code = "import sys, dephasim; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"

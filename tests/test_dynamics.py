@@ -293,6 +293,30 @@ class TestBackground:
         with pytest.raises(ValidationError, match="finite"):
             EnsembleConfig(spin1=SpinInit(p=0.5), spin2=SpinInit(p=0.5), background_p=background_p)
 
+    @pytest.mark.parametrize("doubled", [False, True])
+    def test_one_population_counted_as_its_list(self, doubled):
+        # one population for N - 2 spins gives the bits of a list of N - 2 of them
+        bath = BathConfig()
+        t = np.linspace(0.0, 40.0, 97)
+        cfg = CouplingConfig(kappa_c=0.3, N=50)
+        spin = SpinInit(p=0.5)
+        got, want = (
+            background_factor(t, cfg, EnsembleConfig(spin, spin, background_p=ps), bath, doubled)
+            for ps in (0.3, [0.3] * 48)
+        )
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("N", [10**11, 10**30])
+    def test_huge_background_not_laid_out(self, N):
+        # N - 2 copies of the population would not fit in memory, or in an array;
+        # at eta = 1/2, P_N tends to the pure phase e^{-i kappa_c^2 S (1 - 2p)}
+        cfg = CouplingConfig(kappa_c=0.3, eta=0.5, N=N)
+        ens = EnsembleConfig(spin1=SpinInit(p=0.5), spin2=SpinInit(p=0.5), background_p=0.3)
+        t = np.linspace(0.0, 40.0, 9)
+        got = background_factor(t, cfg, ens)
+        want = np.exp(-1j * 0.09 * phase_S(t) * (1.0 - 0.6))
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+
     def test_background_length_mismatch(self):
         ens = EnsembleConfig(
             spin1=SpinInit(p=0.5), spin2=SpinInit(p=0.5),

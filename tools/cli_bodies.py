@@ -5,15 +5,16 @@
 Runs `dephasim` with the package imported from this checkout's src/,
 in OUTDIR, and writes there:
 
-- twenty-five bodies that cover every subcommand.  Each command but
+- twenty-six bodies that cover every subcommand.  Each command but
   the last writes its body with a relative --output, so the path
   recorded in the body's configuration header is the same from any
   checkout; the two fit commands read sweep bodies written before them.
   The last writes to stdout (--output -), which the script saves.  The
   long time series run through several blocks of rows, in CSV and JSON,
-  to a file and to stdout, and two short ones put times of 1e18 and
-  1e-300 through every shape that %.17g gives a number.  A body
-  command that exits non-zero or writes to stderr stops the script;
+  to a file and to stdout, two short ones put times of 1e18 and
+  1e-300 through every shape that %.17g gives a number, and one runs
+  N = 1e11 spins.  A body command that exits non-zero or writes to
+  stderr stops the script;
 - the --help text of `dephasim` and of each subcommand, at COLUMNS=80;
 - the exit code and stderr of thirteen invalid invocations: a bad value
   for each kind of option that can reject one, fit without --input, an
@@ -31,7 +32,10 @@ With --manifest it also writes tools/cli_bodies.json: the SHA-256 of
 every file in OUTDIR, which should start empty, and the fingerprint of
 the host they were made on (Python and numpy versions, machine, and
 numpy's enabled CPU features, since numpy's SIMD level moves some
-bits).  tests/test_bodies.py compares a fresh run with it.
+bits).  Before it overwrites the manifest it prints each output that
+moved, appeared or disappeared against the digests pinned there.
+tests/test_bodies.py compares a fresh run with it and names the same
+outputs when they differ.
 """
 
 import hashlib
@@ -55,6 +59,7 @@ BODIES = (
     ("timeseries-20000.json", ["timeseries", "--steps", "20000", "--format", "json"]),
     ("timeseries-huge-t.csv", ["timeseries", "--n", "4", "--t-max", "1e18", "--steps", "40"]),
     ("timeseries-tiny-t.csv", ["timeseries", "--n", "4", "--t-max", "1e-300", "--steps", "40"]),
+    ("timeseries-huge-n.csv", ["timeseries", "--n", "100000000000", "--steps", "40"]),
     ("timeseries-negative-v.csv", ["timeseries", "--n", "6", "--p", "0.3", "--v", "-0.3",
                                    "--background-p", "0.2", "--kappa-l", "0.2"]),
     ("sweep-n.csv", ["sweep-n"]),
@@ -129,6 +134,19 @@ def digests(out):
             for path in sorted(out.iterdir())}
 
 
+def moved(pinned, fresh):
+    """One line per output whose digest moved, appeared or disappeared from pinned to fresh."""
+    lines = []
+    for name in sorted(pinned.keys() | fresh.keys()):
+        if name not in fresh:
+            lines.append("disappeared: %s" % name)
+        elif name not in pinned:
+            lines.append("appeared: %s" % name)
+        elif pinned[name] != fresh[name]:
+            lines.append("moved: %s" % name)
+    return lines
+
+
 def main(argv):
     manifest = "--manifest" in argv
     argv = [arg for arg in argv if arg != "--manifest"]
@@ -170,8 +188,13 @@ def main(argv):
         (out / name).write_text("exit %d\n%s" % (done.returncode, done.stderr))
         print(name)
     if manifest:
-        pinned = {"fingerprint": fingerprint(), "sha256": digests(out)}
-        MANIFEST.write_text(json.dumps(pinned, indent=2, sort_keys=True) + "\n")
+        fresh = {"fingerprint": fingerprint(), "sha256": digests(out)}
+        if MANIFEST.exists():
+            pinned = json.loads(MANIFEST.read_text(encoding="utf-8"))
+            if pinned["fingerprint"] != fresh["fingerprint"]:
+                print("fingerprint: %s -> %s" % (pinned["fingerprint"], fresh["fingerprint"]))
+            print("\n".join(moved(pinned["sha256"], fresh["sha256"])) or "no output moved")
+        MANIFEST.write_text(json.dumps(fresh, indent=2, sort_keys=True) + "\n")
         print(MANIFEST)
 
 
