@@ -28,10 +28,11 @@ S has the elementary closed form
 
     S(t) = -(k_c^2 / 2) * [ x/3 - (sin x - x cos x)/x^2 ],   x = k_c t,
 
-evaluated through a Maclaurin branch at small x where the bracket suffers
-catastrophic cancellation.  Gamma has no elementary antiderivative
-because of the coth factor.  Writing omega coth(beta omega/2) =
-omega + 2 omega/(e^{beta omega} - 1) splits it into two parts.
+evaluated through its Maclaurin series, the sum over k >= 0 of
+(-1)^k x^{2k+3} / ((2k+2)!! (2k+5)!!), below x = 2, where the bracket
+suffers catastrophic cancellation.  Gamma has no elementary
+antiderivative because of the coth factor.  Writing omega coth(beta omega/2)
+= omega + 2 omega/(e^{beta omega} - 1) splits it into two parts.
 
 The linear part has a closed form too:
 
@@ -39,8 +40,8 @@ The linear part has a closed form too:
     g(x) = 1/2 - (cos x + x sin x - 1)/x^2,   x = k_c t,
 
 with the Maclaurin branch g(x) = sum_{j>=1} (-1)^{j+1} x^{2j} / ((2j+2) (2j)!)
-below x = 2, where the direct form cancels.  Its share of Gamma_inf is
-k_c^2/4 and it leaves no tail.
+below the same x = 2, where the direct form cancels.  Its share of
+Gamma_inf is k_c^2/4 and it leaves no tail.
 
 The Bose part f(w) = 2w/(e^{beta w} - 1) on [0, L] gives
 I(f, L, t) = int_0^L f(w) sin^2(w t/2) dw, evaluated for all t at once
@@ -85,18 +86,16 @@ __all__ = [
     "dephasing_grid",
 ]
 
-# switch S to its Maclaurin branch below this x = k_c*t; the direct form
-# cancels like x^5 so it loses ~60*eps/x^5 relative accuracy at small x
-_SERIES_X = 0.5
+# switch S's bracket and Gamma's linear part to their Maclaurin series below
+# this x = k_c*t; their direct forms cancel like x^5 and x^2, and lose up to
+# 4e-15 and 2e-15 relative on [1, 2), against 7e-16 and 3e-16 from x = 2
+_SERIES_X = 2.0
 # Maclaurin coefficients of S's bracket over x^3, (-1)^k / ((2k+2)!! (2k+5)!!)
-# in powers 1, x^2, ..., x^10; truncation < 1e-15 relative at x = 0.5
+# in powers 1, x^2, ..., x^20; the first one left out is below 4e-19 of it at x = 2
 _BRACKET_SERIES = tuple(
     (-1) ** k / (math.prod(range(2 * k + 2, 0, -2)) * math.prod(range(2 * k + 5, 0, -2)))
-    for k in range(6)
+    for k in range(11)
 )
-# switch Gamma's linear part to its Maclaurin branch below this x = k_c*t;
-# the direct form loses ~1e-15 relative at x = 1 and ~2e-16 from x = 2
-_LINEAR_SERIES_X = 2.0
 # Maclaurin coefficients of g(x) in powers x^2, x^4, ..., x^22; the first
 # one left out is below 3e-18 of g at x = 2
 _LINEAR_SERIES = tuple(
@@ -168,13 +167,13 @@ class DephasingGrid:
         return self.t.size
 
 
-def _maclaurin(x, switch, series, direct, odd=False):
-    """direct(x), or below switch x^2 sum_k series[k] x^(2k), times x if odd.
+def _maclaurin(x, series, direct, odd=False):
+    """direct(x), or below _SERIES_X x^2 sum_k series[k] x^(2k), times x if odd.
 
     Each branch is evaluated on its own points of the array x only.
     """
     out = np.empty(x.shape)
-    small = x < switch
+    small = x < _SERIES_X
     xs = x[small]
     x2 = xs * xs
     acc = np.full_like(x2, series[-1])
@@ -189,7 +188,7 @@ def _maclaurin(x, switch, series, direct, odd=False):
 
 def _bracket(x):
     """x/3 - (sin x - x cos x)/x^2 with a series branch at small x."""
-    return _maclaurin(x, _SERIES_X, _BRACKET_SERIES,
+    return _maclaurin(x, _BRACKET_SERIES,
                       lambda x: x / 3.0 - (np.sin(x) - x * np.cos(x)) / x**2, odd=True)
 
 
@@ -273,7 +272,7 @@ _VANDER = _legendre_vander(_RULE[0], _TERMS)
 
 def _linear_part(x):
     """g(x) = 1/2 - (cos x + x sin x - 1)/x^2 with a series branch at small x."""
-    return _maclaurin(x, _LINEAR_SERIES_X, _LINEAR_SERIES,
+    return _maclaurin(x, _LINEAR_SERIES,
                       lambda x: 0.5 - (np.cos(x) + x * np.sin(x) - 1.0) / (x * x))
 
 

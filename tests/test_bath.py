@@ -4,6 +4,7 @@ import dataclasses
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate, special
@@ -73,13 +74,21 @@ class TestPhase:
         assert phase_S(t, bath) / t == pytest.approx(-k_c**3 / 6.0, abs=1e-8)
 
     def test_series_branch_continuity(self):
-        # the series/direct switch sits at k_c t = 0.5
+        # the series/direct switch sits at k_c t = _SERIES_X, and k_c = 1
         bath = BathConfig()
-        t = np.linspace(0.45, 0.55, 21)
+        t = np.linspace(0.9, 1.1, 21) * bath_module._SERIES_X
         s = phase_S(t, bath)
         assert np.all(np.diff(s) < 0.0)
         want = np.array([_phase_oracle(x, bath) for x in t])
         np.testing.assert_allclose(s, want, rtol=1e-8)
+
+    def test_bracket_vs_mpmath(self):
+        # x/3 - (sin x - x cos x)/x^2 at 50 digits, across the series switch
+        x = np.concatenate([np.geomspace(1e-3, 3.0, 400), np.linspace(0.4, 2.5, 400)])
+        with mpmath.workdps(50):
+            want = np.array([float(v / 3 - (mpmath.sin(v) - v * mpmath.cos(v)) / v**2)
+                             for v in map(mpmath.mpf, x.tolist())])
+        np.testing.assert_allclose(bath_module._bracket(x), want, rtol=1e-15, atol=0.0)
 
     def test_vector_matches_scalar(self):
         bath = BathConfig()
@@ -218,15 +227,17 @@ class TestLinearPart:
 
     @pytest.mark.parametrize("L", [1.0, 40.0])
     def test_vs_quadrature_oracle(self, L):
-        switch = bath_module._LINEAR_SERIES_X
+        switch = bath_module._SERIES_X
         x = np.array([1e-6, 1e-3, 0.1, 1.0, 0.999 * switch, 1.001 * switch, 3.0, 10.0, 1e3])
         want = np.array([self._oracle(v, L) for v in x])
         np.testing.assert_allclose(bath_module._linear_part(x), want, rtol=1e-14)
 
     def test_series_switch(self):
-        switch = bath_module._LINEAR_SERIES_X
-        below, at = bath_module._linear_part(np.array([np.nextafter(switch, 0.0), switch]))
-        assert at == pytest.approx(below, rel=1e-15)
+        # S's bracket and g share the switch; each is continuous across it
+        switch = bath_module._SERIES_X
+        for closed_form in (bath_module._linear_part, bath_module._bracket):
+            below, at = closed_form(np.array([np.nextafter(switch, 0.0), switch]))
+            assert at == pytest.approx(below, rel=1e-15, abs=0.0)
 
 
 class TestGrid:
