@@ -50,9 +50,9 @@ SIMD_BODIES = ("timeseries.csv", "timeseries-n40-kappa-l.csv", "timeseries-negat
                "limits-kappa-l.csv", "limits-large-eta.csv")
 # the numpy CPU features turned off, which takes the dispatch below AVX-512
 SIMD_OFF = ("AVX512_SPR", "AVX512_ICL", "X86_V4")
-# columns that are keys, grid times, flags or labels: equal at every SIMD level
+# columns and info keys that are keys, grid times, flags or labels: equal at every SIMD level
 DISCRETE = {"t", "tau", "n", "kappa_c", "eta", "p1", "p2", "status", "tau_peak", "tau_c",
-            "clipped"}
+            "clipped", "argmax"}
 
 
 def _bodies(tool, out, disable):
@@ -75,15 +75,18 @@ def _bodies(tool, out, disable):
     return {name: (out / name).read_text(encoding="utf-8").splitlines() for name in commands}
 
 
-def _cells_close(a, b):
-    """Whether two cells hold the same text, or numbers within 1e-14 * max(1, |x|)."""
+def _same(column, a, b):
+    """Whether two cells of column match: equal, or numbers within 1e-14 * max(1, |x|).
+
+    The cells of a DISCRETE column match only if they are equal.
+    """
     if a == b:
         return True
     try:
         x, y = float(a), float(b)
     except ValueError:
         return False
-    return math.isfinite(x) and abs(x - y) <= 1e-14 * max(1.0, abs(x))
+    return column not in DISCRETE and math.isfinite(x) and abs(x - y) <= 1e-14 * max(1.0, abs(x))
 
 
 def test_bodies_across_simd_levels(tmp_path):
@@ -97,16 +100,18 @@ def test_bodies_across_simd_levels(tmp_path):
     for name, want in default.items():
         got = lower[name]
         assert len(got) == len(want), name
-        # the # lines: version and configuration equal, info values close
+        # the # lines, "# config: key = value" and "# info: key = value", by key
         head = [i for i, line in enumerate(want) if line.startswith("#")]
         for i in head:
             key, _, value = want[i].partition(" = ")
             other_key, _, other = got[i].partition(" = ")
             assert key == other_key, (name, want[i], got[i])
-            assert all(map(_cells_close, value.split(","), other.split(","))), (name, want[i], got[i])
+            column = key.split()[-1]
+            assert all(_same(column, a, b) for a, b in zip(value.split(","), other.split(","))), \
+                (name, want[i], got[i])
         columns = want[len(head)].split(",")
         assert got[len(head)] == want[len(head)], name
         for row, (w, g) in enumerate(zip(want[len(head) + 1:], got[len(head) + 1:]), 1):
             for column, a, b in zip(columns, w.split(","), g.split(",")):
-                same = a == b if column in DISCRETE else _cells_close(a, b)
-                assert same, "%s row %d column %s: %s against %s" % (name, row, column, a, b)
+                assert _same(column, a, b), "%s row %d column %s: %s against %s" % (
+                    name, row, column, a, b)
