@@ -31,8 +31,9 @@ S has the elementary closed form
 evaluated through its Maclaurin series, the sum over k >= 0 of
 (-1)^k x^{2k+3} / ((2k+2)!! (2k+5)!!), below x = 2, where the bracket
 suffers catastrophic cancellation.  Gamma has no elementary
-antiderivative because of the coth factor.  Writing omega coth(beta omega/2)
-= omega + 2 omega/(e^{beta omega} - 1) splits it into two parts.
+antiderivative because of the coth factor.  Writing
+omega coth(beta omega/2) = omega + 2 omega/(e^{beta omega} - 1) splits it
+into two parts.
 
 The linear part has a closed form too:
 
